@@ -11,9 +11,8 @@
 //!                            # retry the quarantine manifest
 //! farm_ctl verify            # integrity-scan every entry, drop bad ones
 //! farm_ctl gc                # verify + compact the journal
-//! farm_ctl migrate           # rewrite every entry into the binary
-//!                            # envelope (--format json converts back);
-//!                            # flat legacy stores are sharded in place
+//! farm_ctl migrate           # rewrite a legacy JSON store (sharded or
+//!                            # flat) as PTBE entries, in place
 //! farm_ctl workers           # fleet view of a running ptb-serve
 //!                            # (--addr HOST:PORT, default
 //!                            # 127.0.0.1:7878): live workers and
@@ -28,7 +27,7 @@
 //! `ptb-obs` (plus `farm.chaos.*` under fault injection).
 
 use ptb_experiments::Runner;
-use ptb_farm::{EntryFormat, ExecConfig};
+use ptb_farm::ExecConfig;
 use serde::{json, Map, Value};
 
 fn main() {
@@ -178,33 +177,18 @@ fn main() {
             }
             print_counters(farm);
         }
-        "migrate" => {
-            let target = match args.iter().position(|a| a == "--format") {
-                Some(i) => {
-                    let name = args.get(i + 1).map(String::as_str).unwrap_or("");
-                    match EntryFormat::parse(name) {
-                        Some(f) => f,
-                        None => {
-                            eprintln!("error: --format takes json|bin, got {name:?}");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                None => EntryFormat::Binary,
-            };
-            match farm.store().migrate(target) {
-                Ok(m) => {
-                    println!(
-                        "migrated to {target}: {} converted, {} already {target}, {} dropped",
-                        m.converted, m.already, m.dropped
-                    );
-                }
-                Err(e) => {
-                    eprintln!("error: migrate failed: {e}");
-                    std::process::exit(1);
-                }
+        "migrate" => match farm.store().migrate() {
+            Ok(m) => {
+                println!(
+                    "migrated: {} converted, {} already PTBE, {} dropped",
+                    m.converted, m.already, m.dropped
+                );
             }
-        }
+            Err(e) => {
+                eprintln!("error: migrate failed: {e}");
+                std::process::exit(1);
+            }
+        },
         other => {
             eprintln!(
                 "error: unknown subcommand {other:?} (status|resume|verify|gc|migrate|workers)"
@@ -325,10 +309,6 @@ fn print_status_json(farm: &ptb_farm::Farm) {
     obj.insert("entries".into(), Value::U64(disk.entries));
     obj.insert("total_bytes".into(), Value::U64(disk.total_bytes));
     obj.insert("shards".into(), Value::U64(disk.shards));
-    obj.insert(
-        "store_format".into(),
-        Value::Str(farm.store().format().to_string()),
-    );
     let mut journal = Map::new();
     journal.insert("hits".into(), Value::U64(traffic.hits));
     journal.insert("misses".into(), Value::U64(traffic.misses));

@@ -1,11 +1,7 @@
-//! Compact binary envelope format for store entries.
+//! `PTBE`: the binary envelope every store entry is written in.
 //!
-//! The pretty-printed JSON envelope (one per entry, human-greppable) is
-//! the right debugging format but the wrong serving format: at service
-//! scale (~10⁵ entries, thousands of lookups per second) its per-read
-//! cost is dominated by parsing whitespace-heavy text. The binary
-//! envelope keeps the job/report payloads as *compact* JSON (the only
-//! serialiser the offline vendor set provides) but wraps them in a
+//! The envelope keeps the job/report payloads as *compact* JSON (the
+//! only serialiser the offline vendor set provides) and wraps them in a
 //! versioned, length-prefixed, checksummed frame, so a reader can
 //!
 //! * reject truncation and bit rot with one integer compare (the
@@ -34,6 +30,8 @@
 //! magic, absurd lengths, checksum mismatch — returns a typed reason
 //! string (mapped to a corrupt-entry miss by the store), never panics.
 
+use crate::hash::fnv1a64;
+
 /// Magic bytes opening every binary envelope.
 pub const MAGIC: [u8; 4] = *b"PTBE";
 
@@ -50,16 +48,6 @@ const TRAILER: usize = 8;
 /// Sanity ceiling on any single section (64 MiB) so a corrupt length
 /// field cannot drive a huge allocation.
 const MAX_SECTION: u32 = 64 << 20;
-
-/// FNV-1a 64 over `bytes` (same construction as `crate::hash`).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A decoded envelope: borrowed views into the input buffer.
 #[derive(Debug, PartialEq, Eq)]
@@ -155,6 +143,7 @@ pub fn decode(bytes: &[u8]) -> Result<Envelope<'_>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Vec<u8> {
         encode(
@@ -215,5 +204,67 @@ mod tests {
         let mut buf = sample();
         buf.push(0);
         assert!(decode(&buf).unwrap_err().contains("length mismatch"));
+    }
+
+    /// `decode` either rejects `bytes` or returns sections that account
+    /// for every byte under a matching checksum.
+    fn check(bytes: &[u8]) -> Result<(), TestCaseError> {
+        if let Ok(env) = decode(bytes) {
+            let body = HEADER + env.key.len() + env.job_json.len() + env.report_json.len();
+            prop_assert_eq!(bytes.len(), body + TRAILER);
+            let sum = u64::from_le_bytes(bytes[body..].try_into().unwrap());
+            prop_assert_eq!(sum, fnv1a64(&bytes[..body]));
+        }
+        Ok(())
+    }
+
+    fn text(bytes: &[u8]) -> String {
+        String::from_utf8_lossy(bytes).into_owned()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Arbitrary, truncated and bit-flipped frames, and frames whose
+        /// length fields lie under a valid checksum, never panic.
+        #[test]
+        fn decode_is_total(
+            sections in (
+                prop::collection::vec(0u8..=255, 0..40),
+                prop::collection::vec(0u8..=255, 0..80),
+                prop::collection::vec(0u8..=255, 0..80),
+            ),
+            noise in prop::collection::vec(0u8..=255, 0..160),
+            cut in 0usize..256,
+            flips in prop::collection::vec((0usize..256, 0u8..8), 1..4),
+            lens in (0u32..96, 0u32..96, 0u32..96),
+        ) {
+            let (key, job, report) = (text(&sections.0), text(&sections.1), text(&sections.2));
+            let valid = encode(&key, &job, &report);
+            let env = decode(&valid).map_err(TestCaseError::fail)?;
+            prop_assert_eq!((env.key, env.job_json, env.report_json), (&*key, &*job, &*report));
+
+            prop_assert!(decode(&valid[..cut % valid.len()]).is_err());
+
+            let mut flipped = valid.clone();
+            for &(pos, bit) in &flips {
+                flipped[pos % valid.len()] ^= 1 << bit;
+            }
+            check(&flipped)?;
+
+            check(&noise)?;
+            let mut framed = valid[..HEADER].to_vec();
+            for (at, len) in [(16, lens.0), (20, lens.1), (24, lens.2)] {
+                framed[at..at + 4].copy_from_slice(&len.to_le_bytes());
+            }
+            // ASCII noise, so the sections pass the UTF-8 check. Seal
+            // the body the header declares (or all of it, when
+            // shorter); any remaining noise is a trailing tail.
+            framed.extend(noise.iter().map(|b| b & 0x7f));
+            let declared = HEADER + (lens.0 + lens.1 + lens.2) as usize;
+            let at = declared.min(framed.len());
+            let sum = fnv1a64(&framed[..at]);
+            framed.splice(at..at, sum.to_le_bytes());
+            check(&framed)?;
+        }
     }
 }

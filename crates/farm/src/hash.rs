@@ -1,4 +1,5 @@
-//! Stable content hashing for job keys.
+//! Stable hashing: job keys, plus the workspace's one copy of FNV-1a 64
+//! and SplitMix64.
 //!
 //! Keys must be identical across processes, platforms and time, so the
 //! hash is computed over a *canonical* byte string — compact JSON with
@@ -8,6 +9,11 @@
 //! digest; and because [`crate::ResultStore::get`] additionally compares
 //! the stored config tree against the requested one, even a hash
 //! collision degrades to a re-simulation, never to a wrong result.
+//!
+//! [`fnv1a64`] (standard basis) also checksums `PTBE` envelopes and
+//! places chaos faults; [`splitmix64`] decorrelates fault-site hashes
+//! and seeds client-side picks. Their outputs are part of on-disk
+//! formats and replayable fault schedules, so neither may change.
 
 use ptb_core::SimConfig;
 use ptb_workloads::WorkloadSpec;
@@ -29,11 +35,24 @@ fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
     h
 }
 
+/// FNV-1a 64 with the standard offset basis.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a(bytes, FNV_BASIS_A)
+}
+
+/// SplitMix64 finaliser: a bijective 64-bit mix.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// 128-bit hex digest (32 lowercase hex chars) of `material`.
 pub fn digest_hex(material: &[u8]) -> String {
     format!(
         "{:016x}{:016x}",
-        fnv1a(material, FNV_BASIS_A),
+        fnv1a64(material),
         fnv1a(material, FNV_BASIS_B)
     )
 }
@@ -80,6 +99,15 @@ mod tests {
         assert_eq!(digest_hex(b"abc"), digest_hex(b"abc"));
         assert_ne!(digest_hex(b"abc"), digest_hex(b"abd"));
         assert_eq!(digest_hex(b"").len(), 32);
+    }
+
+    #[test]
+    fn fnv1a64_and_splitmix64_match_their_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(1), 0x910a_2dec_8902_5cc1);
     }
 
     #[test]

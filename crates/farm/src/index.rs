@@ -1,5 +1,5 @@
-//! Packed store index: presence, format and size of every entry in one
-//! flat binary file.
+//! Packed store index: presence and size of every entry in one flat
+//! binary file.
 //!
 //! A flat (or even two-hex-sharded) directory of ~10⁵ entry files makes
 //! every whole-store question — `keys()`, `len()`, `disk_stats()`, the
@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! 0   16  key (raw bytes of the 32-char hex digest)
-//! 16  4   flags (bit 0: binary envelope; bit 7: tombstone)
+//! 16  4   flags (bit 7: tombstone; other bits zero)
 //! 20  8   entry size in bytes (0 for tombstones)
 //! 28  4   FNV-1a 32 checksum of bytes [0, 28)
 //! ```
@@ -34,8 +34,9 @@ use std::collections::BTreeMap;
 /// Magic bytes opening the index file.
 pub const MAGIC: [u8; 4] = *b"PTBI";
 
-/// Index file format version.
-pub const INDEX_VERSION: u32 = 1;
+/// Index file format version. (v2: the per-record format flag went
+/// away with the JSON entry format; v1 indexes rebuild once on open.)
+pub const INDEX_VERSION: u32 = 2;
 
 /// Header: magic + version + 8 reserved bytes.
 pub const HEADER_LEN: usize = 16;
@@ -43,9 +44,6 @@ pub const HEADER_LEN: usize = 16;
 /// Fixed record size.
 pub const RECORD_LEN: usize = 32;
 
-/// Flag bit: the entry is stored as a binary envelope (`.bin`);
-/// unset means pretty JSON (`.json`).
-const FLAG_BINARY: u32 = 1;
 /// Flag bit: the entry was removed.
 const FLAG_TOMBSTONE: u32 = 1 << 7;
 
@@ -60,30 +58,22 @@ fn fnv1a32(bytes: &[u8]) -> u32 {
     h
 }
 
-/// What the index knows about one live entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexEntry {
-    /// Entry file size in bytes.
-    pub size: u64,
-    /// True when stored as a binary envelope (`.bin`), false for JSON.
-    pub binary: bool,
-}
-
 /// One index record before packing: a put or a remove.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexRecord {
     /// The 32-char lowercase-hex key.
     pub key: String,
-    /// `None` marks a tombstone (the entry was removed).
-    pub entry: Option<IndexEntry>,
+    /// Entry file size in bytes; `None` marks a tombstone (the entry
+    /// was removed).
+    pub size: Option<u64>,
 }
 
 impl IndexRecord {
     /// A live-entry record.
-    pub fn put(key: &str, size: u64, binary: bool) -> Self {
+    pub fn put(key: &str, size: u64) -> Self {
         IndexRecord {
             key: key.to_owned(),
-            entry: Some(IndexEntry { size, binary }),
+            size: Some(size),
         }
     }
 
@@ -91,7 +81,7 @@ impl IndexRecord {
     pub fn tombstone(key: &str) -> Self {
         IndexRecord {
             key: key.to_owned(),
-            entry: None,
+            size: None,
         }
     }
 
@@ -102,8 +92,8 @@ impl IndexRecord {
         let raw = hex_to_raw(&self.key)?;
         let mut rec = [0u8; RECORD_LEN];
         rec[0..16].copy_from_slice(&raw);
-        let (flags, size) = match self.entry {
-            Some(e) => (if e.binary { FLAG_BINARY } else { 0 }, e.size),
+        let (flags, size) = match self.size {
+            Some(size) => (0, size),
             None => (FLAG_TOMBSTONE, 0),
         };
         rec[16..20].copy_from_slice(&flags.to_le_bytes());
@@ -125,15 +115,8 @@ impl IndexRecord {
         let key = raw_to_hex(&rec[0..16]);
         let flags = u32::from_le_bytes(rec[16..20].try_into().ok()?);
         let size = u64::from_le_bytes(rec[20..28].try_into().ok()?);
-        let entry = if flags & FLAG_TOMBSTONE != 0 {
-            None
-        } else {
-            Some(IndexEntry {
-                size,
-                binary: flags & FLAG_BINARY != 0,
-            })
-        };
-        Some(IndexRecord { key, entry })
+        let size = (flags & FLAG_TOMBSTONE == 0).then_some(size);
+        Some(IndexRecord { key, size })
     }
 }
 
@@ -165,12 +148,12 @@ fn raw_to_hex(raw: &[u8]) -> String {
     s
 }
 
-/// The replayed state of an index file: live entries keyed by hex key
-/// (sorted, so `keys()` listings are deterministic).
+/// The replayed state of an index file: the size of every live entry
+/// keyed by hex key (sorted, so listings are deterministic).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct IndexState {
-    /// Live entries (tombstoned keys removed).
-    pub live: BTreeMap<String, IndexEntry>,
+    /// Live entry sizes in bytes (tombstoned keys removed).
+    pub live: BTreeMap<String, u64>,
 }
 
 impl IndexState {
@@ -181,8 +164,8 @@ impl IndexState {
         buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&INDEX_VERSION.to_le_bytes());
         buf.extend_from_slice(&[0u8; 8]);
-        for (key, entry) in &self.live {
-            if let Some(rec) = IndexRecord::put(key, entry.size, entry.binary).pack() {
+        for (key, &size) in &self.live {
+            if let Some(rec) = IndexRecord::put(key, size).pack() {
                 buf.extend_from_slice(&rec);
             }
         }
@@ -205,9 +188,9 @@ impl IndexState {
             let Some(rec) = IndexRecord::unpack(rec) else {
                 break; // torn tail: keep the consistent prefix
             };
-            match rec.entry {
-                Some(e) => {
-                    state.live.insert(rec.key, e);
+            match rec.size {
+                Some(size) => {
+                    state.live.insert(rec.key, size);
                 }
                 None => {
                     state.live.remove(&rec.key);
@@ -219,13 +202,16 @@ impl IndexState {
 
     /// Total bytes across live entries.
     pub fn total_bytes(&self) -> u64 {
-        self.live.values().map(|e| e.size).sum()
+        self.live
+            .values()
+            .fold(0, |acc, &size| acc.saturating_add(size))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const K1: &str = "0123456789abcdef0123456789abcdef";
     const K2: &str = "ffeeddccbbaa99887766554433221100";
@@ -233,8 +219,8 @@ mod tests {
     #[test]
     fn record_pack_unpack_round_trips() {
         for rec in [
-            IndexRecord::put(K1, 1234, true),
-            IndexRecord::put(K2, 0, false),
+            IndexRecord::put(K1, 1234),
+            IndexRecord::put(K2, 0),
             IndexRecord::tombstone(K1),
         ] {
             let packed = rec.pack().unwrap();
@@ -244,38 +230,32 @@ mod tests {
 
     #[test]
     fn non_hex_keys_do_not_pack() {
-        assert!(IndexRecord::put("xx", 1, false).pack().is_none());
-        assert!(IndexRecord::put(&"G".repeat(32), 1, false).pack().is_none());
+        assert!(IndexRecord::put("xx", 1).pack().is_none());
+        assert!(IndexRecord::put(&"G".repeat(32), 1).pack().is_none());
     }
 
     #[test]
     fn replay_applies_puts_and_tombstones_in_order() {
         let mut img = IndexState::default().to_bytes();
         for rec in [
-            IndexRecord::put(K1, 10, false),
-            IndexRecord::put(K2, 20, true),
+            IndexRecord::put(K1, 10),
+            IndexRecord::put(K2, 20),
             IndexRecord::tombstone(K1),
-            IndexRecord::put(K1, 30, true),
+            IndexRecord::put(K1, 30),
         ] {
             img.extend_from_slice(&rec.pack().unwrap());
         }
         let state = IndexState::from_bytes(&img).unwrap();
         assert_eq!(state.live.len(), 2);
-        assert_eq!(
-            state.live[K1],
-            IndexEntry {
-                size: 30,
-                binary: true
-            }
-        );
+        assert_eq!(state.live[K1], 30);
         assert_eq!(state.total_bytes(), 50);
     }
 
     #[test]
     fn torn_tail_keeps_the_consistent_prefix() {
         let mut img = IndexState::default().to_bytes();
-        img.extend_from_slice(&IndexRecord::put(K1, 10, false).pack().unwrap());
-        let full = IndexRecord::put(K2, 20, false).pack().unwrap();
+        img.extend_from_slice(&IndexRecord::put(K1, 10).pack().unwrap());
+        let full = IndexRecord::put(K2, 20).pack().unwrap();
         img.extend_from_slice(&full[..17]); // torn mid-record
         let state = IndexState::from_bytes(&img).unwrap();
         assert_eq!(state.live.len(), 1);
@@ -285,8 +265,8 @@ mod tests {
     #[test]
     fn corrupt_record_stops_replay() {
         let mut img = IndexState::default().to_bytes();
-        img.extend_from_slice(&IndexRecord::put(K1, 10, false).pack().unwrap());
-        let mut bad = IndexRecord::put(K2, 20, false).pack().unwrap();
+        img.extend_from_slice(&IndexRecord::put(K1, 10).pack().unwrap());
+        let mut bad = IndexRecord::put(K2, 20).pack().unwrap();
         bad[5] ^= 0xff;
         img.extend_from_slice(&bad);
         img.extend_from_slice(&IndexRecord::tombstone(K1).pack().unwrap());
@@ -309,20 +289,58 @@ mod tests {
     #[test]
     fn state_round_trips_through_image() {
         let mut state = IndexState::default();
-        state.live.insert(
-            K1.into(),
-            IndexEntry {
-                size: 7,
-                binary: false,
-            },
-        );
-        state.live.insert(
-            K2.into(),
-            IndexEntry {
-                size: 9,
-                binary: true,
-            },
-        );
+        state.live.insert(K1.into(), 7);
+        state.live.insert(K2.into(), 9);
         assert_eq!(IndexState::from_bytes(&state.to_bytes()), Some(state));
+    }
+
+    /// `from_bytes` either rejects `bytes` or yields a state of packable
+    /// keys that survives its own image.
+    fn check(bytes: &[u8]) -> Result<(), TestCaseError> {
+        if let Some(state) = IndexState::from_bytes(bytes) {
+            prop_assert!(state.live.keys().all(|k| hex_to_raw(k).is_some()));
+            state.total_bytes();
+            prop_assert_eq!(IndexState::from_bytes(&state.to_bytes()), Some(state));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Arbitrary, truncated and bit-flipped images, and records with
+        /// arbitrary content under a valid checksum, never panic.
+        #[test]
+        fn from_bytes_is_total(
+            sizes in prop::collection::vec(prop::option::of(0u64..u64::MAX), 0..8),
+            noise in prop::collection::vec(0u8..=255, 0..160),
+            cut in 0usize..512,
+            flips in prop::collection::vec((0usize..512, 0u8..8), 1..4),
+        ) {
+            let mut valid = IndexState::default().to_bytes();
+            for (i, size) in sizes.iter().enumerate() {
+                let key = if i % 2 == 0 { K1 } else { K2 };
+                let rec = IndexRecord { key: key.into(), size: *size };
+                valid.extend_from_slice(&rec.pack().unwrap());
+            }
+            check(&valid)?;
+            check(&valid[..cut % (valid.len() + 1)])?;
+
+            let mut flipped = valid.clone();
+            for &(pos, bit) in &flips {
+                flipped[pos % valid.len()] ^= 1 << bit;
+            }
+            check(&flipped)?;
+
+            check(&noise)?;
+            let mut forged = IndexState::default().to_bytes();
+            for chunk in noise.chunks(RECORD_LEN - 4) {
+                let mut rec = [0u8; RECORD_LEN];
+                rec[..chunk.len()].copy_from_slice(chunk);
+                let sum = fnv1a32(&rec[..RECORD_LEN - 4]);
+                rec[RECORD_LEN - 4..].copy_from_slice(&sum.to_le_bytes());
+                forged.extend_from_slice(&rec);
+            }
+            check(&forged)?;
+        }
     }
 }

@@ -23,12 +23,13 @@
 //! keys regardless of worker interleaving, and a failing chaos run can
 //! be replayed from its seed alone.
 
+use crate::hash::{fnv1a64, splitmix64};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Filesystem operations the store and journal perform.
 ///
@@ -114,6 +115,26 @@ impl FarmIo for RealIo {
     }
 }
 
+/// The filesystem the environment asks for: [`RealIo`], unless
+/// `PTB_CHAOS` is a fault rate above zero, which wraps it in a
+/// [`ChaosIo`] seeded by `PTB_CHAOS_SEED` (default 0). Testing only.
+pub fn io_from_env() -> Arc<dyn FarmIo> {
+    let rate = std::env::var("PTB_CHAOS")
+        .ok()
+        .and_then(|v| v.parse::<f64>().ok())
+        .unwrap_or(0.0);
+    if rate > 0.0 {
+        let seed = std::env::var("PTB_CHAOS_SEED")
+            .ok()
+            .and_then(|v| v.parse::<u64>().ok())
+            .unwrap_or(0);
+        eprintln!("[farm] CHAOS MODE: fault rate {rate}, seed {seed}");
+        Arc::new(ChaosIo::new(ChaosConfig::uniform(seed, rate)))
+    } else {
+        Arc::new(RealIo)
+    }
+}
+
 /// Per-fault injection rates (each in `[0, 1]`) plus the chaos seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
@@ -170,23 +191,6 @@ pub struct ChaosIo<I: FarmIo = RealIo> {
     ordinals: Mutex<HashMap<u64, u64>>,
 }
 
-/// FNV-1a over arbitrary bytes (the repo's standard cheap stable hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// splitmix64 finaliser: decorrelates the structured site hash.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 impl ChaosIo<RealIo> {
     /// Chaos over the real filesystem.
     pub fn new(cfg: ChaosConfig) -> Self {
@@ -218,14 +222,14 @@ impl<I: FarmIo> ChaosIo<I> {
     /// Uniform `[0, 1)` draw for the next operation of class `tag` on
     /// `path`. Deterministic per (seed, tag, path, ordinal).
     fn roll(&self, tag: &str, path: &Path) -> f64 {
-        let site = fnv1a(tag.as_bytes()) ^ fnv1a(path.as_os_str().as_encoded_bytes());
+        let site = fnv1a64(tag.as_bytes()) ^ fnv1a64(path.as_os_str().as_encoded_bytes());
         let ordinal = {
             let mut m = self.ordinals.lock().expect("chaos ordinal lock");
             let n = m.entry(site).or_insert(0);
             *n += 1;
             *n
         };
-        let bits = splitmix(self.cfg.seed ^ site ^ ordinal.wrapping_mul(0x2545_f491_4f6c_dd1d));
+        let bits = splitmix64(self.cfg.seed ^ site ^ ordinal.wrapping_mul(0x2545_f491_4f6c_dd1d));
         (bits >> 11) as f64 / (1u64 << 53) as f64
     }
 }
@@ -241,7 +245,7 @@ impl<I: FarmIo> FarmIo for ChaosIo<I> {
             self.stats.read_corrupt.fetch_add(1, Ordering::Relaxed);
             // Flip one byte at a seeded position to a character that is
             // guaranteed to break JSON, modelling bit rot / a torn page.
-            let pos = (splitmix(self.cfg.seed ^ fnv1a(text.as_bytes())) as usize) % text.len();
+            let pos = (splitmix64(self.cfg.seed ^ fnv1a64(text.as_bytes())) as usize) % text.len();
             let mut bytes = text.into_bytes();
             bytes[pos] = b'\x01';
             return Ok(String::from_utf8_lossy(&bytes).into_owned());
@@ -255,7 +259,7 @@ impl<I: FarmIo> FarmIo for ChaosIo<I> {
             self.stats.read_corrupt.fetch_add(1, Ordering::Relaxed);
             // Flip one byte at a seeded position, modelling bit rot; the
             // binary envelope's checksum must catch it.
-            let pos = (splitmix(self.cfg.seed ^ fnv1a(&bytes)) as usize) % bytes.len();
+            let pos = (splitmix64(self.cfg.seed ^ fnv1a64(&bytes)) as usize) % bytes.len();
             bytes[pos] ^= 0xa5;
         }
         Ok(bytes)

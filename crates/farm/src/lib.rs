@@ -44,7 +44,7 @@
 //! Store entries are never trusted blindly. Each entry embeds its own
 //! key, the format versions, and the full job (benchmark + config) it
 //! answers for; [`ResultStore::get`] re-checks all of them against the
-//! request and treats any mismatch — truncated JSON, a stale format
+//! request and treats any mismatch — a torn envelope, a stale format
 //! version, or a config that no longer matches its hash — as a miss,
 //! deleting the entry so it is re-simulated rather than believed.
 //!
@@ -87,12 +87,12 @@ pub mod store;
 
 pub use error::{FarmError, JobError};
 pub use exec::{ExecConfig, ExecStats, JobCtx, JobFault, RetryPolicy};
-pub use io::{ChaosConfig, ChaosIo, FarmIo, RealIo};
+pub use io::{io_from_env, ChaosConfig, ChaosIo, FarmIo, RealIo};
 pub use journal::{Journal, JournalStats};
 pub use quarantine::{Quarantine, QuarantineEntry, QUARANTINE_FILE};
 pub use stats::{FarmSnapshot, FarmStats};
 pub use store::{
-    EntryFormat, MigrateReport, ResultStore, StoreDiskStats, StoreLookup, INDEX_FILE, STORE_FORMAT,
+    MigrateReport, ResultStore, StoreDiskStats, StoreLookup, INDEX_FILE, STORE_FORMAT,
 };
 
 use ptb_core::sim::SimError;
@@ -207,18 +207,8 @@ impl Farm {
     /// [`Farm::open`] with every store/journal filesystem operation
     /// routed through `io` (pass a [`ChaosIo`] to fault-inject).
     pub fn open_with_io(dir: impl AsRef<Path>, io: Arc<dyn FarmIo>) -> Result<Farm, FarmError> {
-        Self::open_with_io_format(dir, io, EntryFormat::Json)
-    }
-
-    /// [`Farm::open_with_io`] choosing the representation new store
-    /// entries are written in (either is always read back).
-    pub fn open_with_io_format(
-        dir: impl AsRef<Path>,
-        io: Arc<dyn FarmIo>,
-        format: EntryFormat,
-    ) -> Result<Farm, FarmError> {
         let dir = dir.as_ref().to_path_buf();
-        let store = ResultStore::open_with_format(dir.join("objects"), io.clone(), format)?;
+        let store = ResultStore::open_with(dir.join("objects"), io.clone())?;
         let journal_path = dir.join("journal.jsonl");
         let mut carried = JournalStats::default();
         if Journal::load_pending_with(&journal_path, io.as_ref())?.is_empty() {
@@ -249,11 +239,8 @@ impl Farm {
     /// * `PTB_NO_CACHE` set (to anything but `0`) — disabled, returns
     ///   `None`;
     /// * `PTB_FARM_DIR` — store location (default `target/farm`);
-    /// * `PTB_STORE_FORMAT` — `json` (default) or `bin`/`binary`, the
-    ///   representation new store entries are written in;
-    /// * `PTB_CHAOS` — fault-injection rate in `[0, 1]`; non-zero wraps
-    ///   the filesystem in a [`ChaosIo`] (testing only);
-    /// * `PTB_CHAOS_SEED` — seed for the injected faults (default 0).
+    /// * `PTB_CHAOS` / `PTB_CHAOS_SEED` — fault injection, see
+    ///   [`io_from_env`].
     ///
     /// I/O errors opening the store degrade to uncached operation with a
     /// warning instead of failing the run.
@@ -266,25 +253,7 @@ impl Farm {
         let dir = std::env::var("PTB_FARM_DIR")
             .map(PathBuf::from)
             .unwrap_or_else(|_| PathBuf::from("target/farm"));
-        let format = std::env::var("PTB_STORE_FORMAT")
-            .ok()
-            .and_then(|v| EntryFormat::parse(&v))
-            .unwrap_or_default();
-        let chaos_rate = std::env::var("PTB_CHAOS")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(0.0);
-        let io: Arc<dyn FarmIo> = if chaos_rate > 0.0 {
-            let seed = std::env::var("PTB_CHAOS_SEED")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(0);
-            eprintln!("[farm] CHAOS MODE: fault rate {chaos_rate}, seed {seed}");
-            Arc::new(ChaosIo::new(ChaosConfig::uniform(seed, chaos_rate)))
-        } else {
-            Arc::new(RealIo)
-        };
-        match Farm::open_with_io_format(&dir, io, format) {
+        match Farm::open_with_io(&dir, io_from_env()) {
             Ok(farm) => Some(farm),
             Err(e) => {
                 eprintln!(

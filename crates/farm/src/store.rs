@@ -1,31 +1,17 @@
 //! Content-addressed on-disk result store.
 //!
-//! Layout: one entry file per result at `objects/<k₀k₁>/<key>.<ext>`
-//! (two-hex-char fan-out, git-style), in one of two interchangeable
-//! representations of the same envelope:
+//! Layout: one entry file per result at `objects/<k₀k₁>/<key>.bin`
+//! (two-hex-char fan-out, git-style), each a [`crate::binfmt`] `PTBE`
+//! envelope: a versioned, length-prefixed, FNV-1a-checksummed frame
+//! around the compact JSON of the job and of its report. A lookup
+//! touches exactly that one path.
 //!
-//! * **JSON** (`.json`, the default) — pretty-printed, human-greppable:
-//!
-//!   ```json
-//!   {
-//!     "store_format": 2,
-//!     "report_format": 1,
-//!     "key": "6f0c…",
-//!     "job": { "bench": "fft", "config": { … } },
-//!     "report": { … }
-//!   }
-//!   ```
-//!
-//! * **Binary** (`.bin`) — the compact [`crate::binfmt`] frame
-//!   (versioned, length-prefixed, FNV-1a-checksummed) for service-scale
-//!   stores where per-read parse cost matters.
-//!
-//! The representation is a property of the *store handle*
-//! ([`EntryFormat`], chosen at open), not of the format version:
-//! both encode `STORE_FORMAT` envelopes, readers accept either (and the
-//! pre-shard flat legacy layout `objects/<key>.json`), and
-//! [`ResultStore::migrate`] rewrites a store from one to the other in
-//! place.
+//! Stores written before `PTBE` became the only format hold pretty JSON
+//! envelopes (`<key>.json`, sharded or in the flat pre-shard layout
+//! `objects/<key>.json`). The read path ignores them; the index rebuild
+//! warns when it finds any, and [`ResultStore::migrate`] (`farm_ctl
+//! migrate`) — the only reader of that format — rewrites them as `PTBE`
+//! in place.
 //!
 //! A packed index file (`objects/index.bin`, see [`crate::index`])
 //! mirrors the entry population: rebuilt on open when absent or
@@ -37,9 +23,10 @@
 //!
 //! Writes are atomic (temp file + rename) and verified to round-trip
 //! before they are published, so readers never observe a torn or
-//! unparsable entry that was written by a healthy process. Reads
-//! re-validate everything: the format versions, the embedded key
-//! against the filename, and the embedded config against the request.
+//! undecodable entry that was written by a healthy process. Reads
+//! re-validate everything: the checksum, the format versions, the
+//! embedded key against the filename, and the embedded config against
+//! the request.
 //!
 //! All filesystem traffic flows through a [`FarmIo`] handle, so the
 //! chaos test suite can inject ENOSPC, partial writes and read
@@ -50,12 +37,12 @@
 
 use crate::binfmt;
 use crate::error::FarmError;
-use crate::index::{IndexEntry, IndexRecord, IndexState};
+use crate::index::{IndexRecord, IndexState};
 use crate::io::{FarmIo, RealIo};
 use crate::FarmJob;
 use ptb_core::RunReport;
-use serde::{json, Deserialize, Map, Serialize, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use serde::{json, Deserialize, Serialize, Value};
+use std::collections::{BTreeSet, HashMap};
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -63,59 +50,10 @@ use std::sync::{Arc, Mutex};
 /// On-disk format version of store envelopes. Bump on any layout or
 /// semantics change; old entries then fail validation and re-run.
 /// (v2: `SimConfig` gained the `spin_cycle_budget` livelock watchdog.)
-/// The JSON/binary representation choice is *not* versioned here: both
-/// encode the same envelope, so switching representations must not
-/// invalidate existing entries or change job keys.
 pub const STORE_FORMAT: u32 = 2;
 
 /// Name of the packed index file at the store root.
 pub const INDEX_FILE: &str = "index.bin";
-
-/// On-disk representation of store entries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EntryFormat {
-    /// Pretty-printed JSON envelope (`.json`) — human-greppable.
-    #[default]
-    Json,
-    /// Compact checksummed binary envelope (`.bin`) — service scale.
-    Binary,
-}
-
-impl EntryFormat {
-    /// File extension of entries in this representation.
-    pub fn ext(self) -> &'static str {
-        match self {
-            EntryFormat::Json => "json",
-            EntryFormat::Binary => "bin",
-        }
-    }
-
-    /// The other representation.
-    pub fn other(self) -> EntryFormat {
-        match self {
-            EntryFormat::Json => EntryFormat::Binary,
-            EntryFormat::Binary => EntryFormat::Json,
-        }
-    }
-
-    /// Parse a user-facing name (`json`, `bin`, `binary`).
-    pub fn parse(s: &str) -> Option<EntryFormat> {
-        match s.to_ascii_lowercase().as_str() {
-            "json" => Some(EntryFormat::Json),
-            "bin" | "binary" => Some(EntryFormat::Binary),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for EntryFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EntryFormat::Json => "json",
-            EntryFormat::Binary => "binary",
-        })
-    }
-}
 
 /// Outcome of a store lookup.
 #[derive(Debug)]
@@ -143,14 +81,16 @@ pub struct StoreDiskStats {
 /// Outcome of a [`ResultStore::migrate`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MigrateReport {
-    /// Entries rewritten into the target representation (including
-    /// flat-legacy entries moved into their shard directory).
+    /// Legacy JSON entries rewritten as `PTBE`.
     pub converted: u64,
-    /// Entries already in the target representation, left in place.
+    /// `PTBE` entries already present, left in place.
     pub already: u64,
-    /// Entries that failed validation and were removed.
+    /// Legacy entries that failed validation and were removed.
     pub dropped: u64,
 }
+
+/// Entry files found by a directory walk: `(key, path)` pairs.
+type DiskEntries = Vec<(String, PathBuf)>;
 
 /// In-memory mirror of the packed index plus its append handle.
 struct IndexHandle {
@@ -162,7 +102,6 @@ struct IndexHandle {
 pub struct ResultStore {
     dir: PathBuf,
     io: Arc<dyn FarmIo>,
-    format: EntryFormat,
     index: Mutex<IndexHandle>,
     /// Per-key write sequence numbers: the temp-file name discriminator
     /// that keeps two same-key writers in one process from colliding
@@ -171,33 +110,20 @@ pub struct ResultStore {
 }
 
 impl ResultStore {
-    /// Open (or create) a store rooted at `dir` on the real filesystem,
-    /// writing JSON entries.
+    /// Open (or create) a store rooted at `dir` on the real filesystem.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, FarmError> {
         Self::open_with(dir, Arc::new(RealIo))
     }
 
     /// Open (or create) a store rooted at `dir`, performing all
-    /// filesystem operations through `io`, writing JSON entries.
+    /// filesystem operations through `io`.
     pub fn open_with(dir: impl AsRef<Path>, io: Arc<dyn FarmIo>) -> Result<Self, FarmError> {
-        Self::open_with_format(dir, io, EntryFormat::Json)
-    }
-
-    /// Open (or create) a store rooted at `dir`, writing entries in
-    /// `format`. Either representation (plus the flat legacy layout) is
-    /// always *read*; `format` only selects what new entries look like.
-    pub fn open_with_format(
-        dir: impl AsRef<Path>,
-        io: Arc<dyn FarmIo>,
-        format: EntryFormat,
-    ) -> Result<Self, FarmError> {
         let dir = dir.as_ref().to_path_buf();
         io.create_dir_all(&dir)
             .map_err(|e| FarmError::io("create store dir", &dir, e))?;
         let store = ResultStore {
             dir,
             io,
-            format,
             index: Mutex::new(IndexHandle {
                 state: IndexState::default(),
                 file: None,
@@ -213,104 +139,43 @@ impl ResultStore {
         &self.dir
     }
 
-    /// The representation new entries are written in.
-    pub fn format(&self) -> EntryFormat {
-        self.format
-    }
-
     /// Path of the packed index file.
     pub fn index_path(&self) -> PathBuf {
         self.dir.join(INDEX_FILE)
     }
 
-    /// Path the entry for `key` is (or would be) written to, in this
-    /// handle's write representation.
+    /// Path the entry for `key` is (or would be) stored at.
     pub fn path_for(&self, key: &str) -> PathBuf {
-        self.path_in(key, self.format)
-    }
-
-    /// Sharded entry path for `key` in `format`.
-    fn path_in(&self, key: &str, format: EntryFormat) -> PathBuf {
         let prefix = key.get(0..2).unwrap_or("xx");
-        self.dir
-            .join(prefix)
-            .join(format!("{key}.{}", format.ext()))
-    }
-
-    /// Pre-shard flat legacy path for `key` (always JSON).
-    fn flat_path(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{key}.json"))
-    }
-
-    /// Read-path candidates for `key`, most-preferred first.
-    fn candidates(&self, key: &str) -> [(PathBuf, EntryFormat); 3] {
-        [
-            (self.path_in(key, self.format), self.format),
-            (self.path_in(key, self.format.other()), self.format.other()),
-            (self.flat_path(key), EntryFormat::Json),
-        ]
+        self.dir.join(prefix).join(format!("{key}.bin"))
     }
 
     /// Persist `report` as the result of `job` under `key`.
     ///
-    /// The serialised envelope is parsed back before publication; a
-    /// report that does not survive the round-trip byte-for-byte
-    /// identically (e.g. it contains a non-finite float) is rejected
-    /// here — as [`FarmError::Unstorable`] — rather than poisoning the
-    /// store. Filesystem failures come back as [`FarmError::Io`] with
+    /// The encoded envelope is decoded back before publication; a
+    /// report that does not survive the round-trip identically (e.g. it
+    /// contains a non-finite float) is rejected here — as
+    /// [`FarmError::Unstorable`] — rather than poisoning the store.
+    /// Filesystem failures come back as [`FarmError::Io`] with
     /// [`FarmError::transient`] distinguishing retryable ones; a failed
     /// write never leaves a partially-published entry because the
     /// temp-file + rename protocol cleans up after itself.
     pub fn put(&self, key: &str, job: &FarmJob, report: &RunReport) -> Result<(), FarmError> {
-        self.put_in(key, job, report, self.format)
-    }
-
-    /// [`ResultStore::put`] with an explicit representation (the
-    /// migration path writes the target format regardless of the
-    /// handle's default).
-    fn put_in(
-        &self,
-        key: &str,
-        job: &FarmJob,
-        report: &RunReport,
-        format: EntryFormat,
-    ) -> Result<(), FarmError> {
         let unstorable = |reason: String| FarmError::Unstorable {
             key: key.to_owned(),
             reason,
         };
-        let bytes = match format {
-            EntryFormat::Json => {
-                let mut env = Map::new();
-                env.insert("store_format".into(), Value::U64(u64::from(STORE_FORMAT)));
-                env.insert(
-                    "report_format".into(),
-                    Value::U64(u64::from(ptb_core::report::REPORT_FORMAT)),
-                );
-                env.insert("key".into(), Value::Str(key.to_owned()));
-                env.insert("job".into(), job.to_value());
-                env.insert("report".into(), report.to_value());
-                let text = json::to_string_pretty(&Value::Object(env));
-                let reparsed = json::parse(&text).map_err(|e| unstorable(e.to_string()))?;
-                let report_v = reparsed
-                    .get("report")
-                    .ok_or_else(|| unstorable("lost report".into()))?;
-                Self::check_round_trip(report_v, report).map_err(unstorable)?;
-                text.into_bytes()
-            }
-            EntryFormat::Binary => {
-                let job_json = json::to_string(&job.to_value());
-                let report_json = json::to_string(&report.to_value());
-                let buf = binfmt::encode(key, &job_json, &report_json);
-                let env = binfmt::decode(&buf).map_err(&unstorable)?;
-                let report_v =
-                    json::parse(env.report_json).map_err(|e| unstorable(e.to_string()))?;
-                Self::check_round_trip(&report_v, report).map_err(unstorable)?;
-                buf
-            }
-        };
+        let job_json = json::to_string(&job.to_value());
+        let report_json = json::to_string(&report.to_value());
+        let bytes = binfmt::encode(key, &job_json, &report_json);
+        let env = binfmt::decode(&bytes).map_err(&unstorable)?;
+        let report_v = json::parse(env.report_json).map_err(|e| unstorable(e.to_string()))?;
+        let back = RunReport::from_value(&report_v).map_err(|e| unstorable(e.to_string()))?;
+        if back.to_value() != report.to_value() {
+            return Err(unstorable("report does not round-trip losslessly".into()));
+        }
 
-        let path = self.path_in(key, format);
+        let path = self.path_for(key);
         let Some(parent) = path.parent() else {
             return Err(FarmError::BadKey {
                 key: key.to_owned(),
@@ -344,21 +209,7 @@ impl ResultStore {
             self.io.remove_file(&tmp).ok();
             return Err(FarmError::io("publish entry", &path, e));
         }
-        // Retire stale sibling representations so one key never counts
-        // (or answers) twice.
-        self.io.remove_file(&self.path_in(key, format.other())).ok();
-        self.io.remove_file(&self.flat_path(key)).ok();
-        self.note_put(key, bytes.len() as u64, format == EntryFormat::Binary);
-        Ok(())
-    }
-
-    /// Round-trip check shared by both representations: the reparsed
-    /// report value must deserialise back to an identical report.
-    fn check_round_trip(report_v: &Value, report: &RunReport) -> Result<(), String> {
-        let back = RunReport::from_value(report_v).map_err(|e| e.to_string())?;
-        if back.to_value() != report.to_value() {
-            return Err("report does not round-trip losslessly".into());
-        }
+        self.note_put(key, bytes.len() as u64);
         Ok(())
     }
 
@@ -397,11 +248,9 @@ impl ResultStore {
         Ok(Some((job, report)))
     }
 
-    /// Remove the entry for `key`, if present (all representations).
+    /// Remove the entry for `key`, if present.
     pub fn remove(&self, key: &str) {
-        for (path, _) in self.candidates(key) {
-            self.io.remove_file(&path).ok();
-        }
+        self.io.remove_file(&self.path_for(key)).ok();
         self.note_remove(key);
     }
 
@@ -410,19 +259,15 @@ impl ResultStore {
     /// Always a filesystem walk: this is the authoritative listing the
     /// index itself is rebuilt from.
     pub fn keys(&self) -> Result<Vec<String>, FarmError> {
-        let mut keys = BTreeSet::new();
-        for (key, _, _) in self.disk_entries()? {
-            keys.insert(key);
-        }
-        Ok(keys.into_iter().collect())
+        let (entries, _) = self.disk_entries()?;
+        Ok(entries.into_iter().map(|(key, _)| key).collect())
     }
 
-    /// Walk the store directory: every entry file as
-    /// `(key, path, format)`, shard directories and the flat legacy
-    /// root alike. A key stored in both representations yields two
-    /// tuples.
-    fn disk_entries(&self) -> Result<Vec<(String, PathBuf, EntryFormat)>, FarmError> {
-        let mut out = Vec::new();
+    /// Walk the store directory: `PTBE` entry files, then legacy JSON
+    /// envelopes (sharded `<key>.json` and flat root `<key>.json`),
+    /// each sorted by key.
+    fn disk_entries(&self) -> Result<(DiskEntries, DiskEntries), FarmError> {
+        let (mut entries, mut legacy) = (Vec::new(), Vec::new());
         let names = self
             .io
             .read_dir_names(&self.dir)
@@ -430,29 +275,26 @@ impl ResultStore {
         for name in names {
             let path = self.dir.join(&name);
             if path.is_dir() {
-                let entries = self
+                let files = self
                     .io
                     .read_dir_names(&path)
                     .map_err(|e| FarmError::io("list shard", &path, e))?;
-                for entry in entries {
-                    if entry.starts_with('.') {
-                        continue;
-                    }
-                    if let Some(key) = entry.strip_suffix(".json") {
-                        out.push((key.to_owned(), path.join(&entry), EntryFormat::Json));
-                    } else if let Some(key) = entry.strip_suffix(".bin") {
-                        out.push((key.to_owned(), path.join(&entry), EntryFormat::Binary));
+                for file in files.into_iter().filter(|f| !f.starts_with('.')) {
+                    if let Some(key) = file.strip_suffix(".bin") {
+                        entries.push((key.to_owned(), path.join(&file)));
+                    } else if let Some(key) = file.strip_suffix(".json") {
+                        legacy.push((key.to_owned(), path.join(&file)));
                     }
                 }
-            } else if !name.starts_with('.') {
-                // Flat legacy layout: `objects/<key>.json` at the root.
-                // (The packed index `index.bin` is not a `.json` file.)
-                if let Some(key) = name.strip_suffix(".json") {
-                    out.push((key.to_owned(), path, EntryFormat::Json));
+            } else if let Some(key) = name.strip_suffix(".json") {
+                if !name.starts_with('.') {
+                    legacy.push((key.to_owned(), path));
                 }
             }
         }
-        Ok(out)
+        entries.sort();
+        legacy.sort();
+        Ok((entries, legacy))
     }
 
     /// Number of entries present (filesystem walk; see
@@ -500,118 +342,59 @@ impl ResultStore {
         Ok(())
     }
 
-    /// Read and validate the envelope for `key` from whichever
-    /// representation holds it (preferred format, then the other, then
-    /// the flat legacy path). `Ok(None)` when no file exists.
+    /// Read and validate the envelope for `key`: checksum, format
+    /// versions, embedded key. Returns the embedded job and the raw
+    /// report value; `Ok(None)` when no entry file exists.
     fn read_validated(&self, key: &str) -> Result<Option<(FarmJob, Value)>, String> {
-        for (path, format) in self.candidates(key) {
-            match format {
-                EntryFormat::Binary => match self.io.read_bytes(&path) {
-                    Ok(bytes) => return Self::validate_binary(&bytes, key).map(Some),
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                    Err(e) => return Err(format!("unreadable: {e}")),
-                },
-                EntryFormat::Json => match self.io.read_to_string(&path) {
-                    Ok(text) => return Self::validate_envelope(&text, key).map(Some),
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                    Err(e) => return Err(format!("unreadable: {e}")),
-                },
-            }
-        }
-        Ok(None)
-    }
-
-    /// Shared JSON envelope checks: parse, format versions, embedded
-    /// key. Returns the embedded job and the raw report value.
-    fn validate_envelope(text: &str, key: &str) -> Result<(FarmJob, Value), String> {
-        let v = json::parse(text).map_err(|e| format!("parse: {e}"))?;
-        let fmt = v.get("store_format").and_then(Value::as_u64);
-        if fmt != Some(u64::from(STORE_FORMAT)) {
-            return Err(format!(
-                "store format {fmt:?} != current {STORE_FORMAT} (stale)"
-            ));
-        }
-        let rfmt = v.get("report_format").and_then(Value::as_u64);
-        if rfmt != Some(u64::from(ptb_core::report::REPORT_FORMAT)) {
-            return Err(format!(
-                "report format {rfmt:?} != current {} (stale)",
-                ptb_core::report::REPORT_FORMAT
-            ));
-        }
-        if v.get("key").and_then(Value::as_str) != Some(key) {
-            return Err("embedded key does not match filename".into());
-        }
-        let job_v = v.get("job").ok_or("missing job")?;
-        let job = FarmJob::from_value(job_v).map_err(|e| format!("job: {e}"))?;
-        let report_v = v.get("report").ok_or("missing report")?.clone();
-        Ok((job, report_v))
-    }
-
-    /// Binary-envelope counterpart of [`ResultStore::validate_envelope`].
-    fn validate_binary(bytes: &[u8], key: &str) -> Result<(FarmJob, Value), String> {
-        let env = binfmt::decode(bytes)?;
-        if env.store_format != STORE_FORMAT {
-            return Err(format!(
-                "store format {} != current {STORE_FORMAT} (stale)",
-                env.store_format
-            ));
-        }
-        if env.report_format != ptb_core::report::REPORT_FORMAT {
-            return Err(format!(
-                "report format {} != current {} (stale)",
-                env.report_format,
-                ptb_core::report::REPORT_FORMAT
-            ));
-        }
+        let bytes = match self.io.read_bytes(&self.path_for(key)) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(format!("unreadable: {e}")),
+        };
+        let env = binfmt::decode(&bytes)?;
+        check_versions(u64::from(env.store_format), u64::from(env.report_format))?;
         if env.key != key {
             return Err("embedded key does not match filename".into());
         }
         let job_v = json::parse(env.job_json).map_err(|e| format!("job parse: {e}"))?;
         let job = FarmJob::from_value(&job_v).map_err(|e| format!("job: {e}"))?;
         let report_v = json::parse(env.report_json).map_err(|e| format!("report parse: {e}"))?;
-        Ok((job, report_v))
+        Ok(Some((job, report_v)))
     }
 
-    /// Rewrite every entry into `target` representation in place:
-    /// flat-legacy entries move into their shard directory, valid
-    /// entries in the other representation are re-encoded, entries that
-    /// fail validation are dropped, and the packed index is rebuilt at
-    /// the end. Idempotent: a second pass reports everything `already`.
-    pub fn migrate(&self, target: EntryFormat) -> Result<MigrateReport, FarmError> {
-        let mut report = MigrateReport::default();
-        for key in self.keys()? {
-            let target_path = self.path_in(&key, target);
-            match self.read_validated(&key) {
-                Ok(Some((job, report_v))) => {
-                    let run = match RunReport::from_value(&report_v) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            eprintln!("[store] dropping {key}: report: {e}");
-                            self.remove(&key);
-                            report.dropped += 1;
-                            continue;
-                        }
-                    };
-                    if self.io.file_size(&target_path).is_ok() {
-                        // Already in the target representation; retire
-                        // any stale siblings left by interrupted runs.
-                        self.io
-                            .remove_file(&self.path_in(&key, target.other()))
-                            .ok();
-                        self.io.remove_file(&self.flat_path(&key)).ok();
-                        report.already += 1;
-                    } else {
-                        self.put_in(&key, &job, &run, target)?;
+    /// One-way migration of a legacy store: every JSON envelope
+    /// (sharded or flat) that validates is rewritten as a `PTBE` entry,
+    /// every one that does not is dropped, and the packed index is
+    /// rebuilt at the end. A legacy file whose key already has a `PTBE`
+    /// entry is retired without being read. Idempotent: a second pass
+    /// reports every entry `already`.
+    pub fn migrate(&self) -> Result<MigrateReport, FarmError> {
+        let (entries, legacy) = self.disk_entries()?;
+        let mut present: BTreeSet<String> = entries.into_iter().map(|(key, _)| key).collect();
+        let mut report = MigrateReport {
+            already: present.len() as u64,
+            ..MigrateReport::default()
+        };
+        for (key, path) in legacy {
+            if !present.contains(&key) {
+                let parsed = self
+                    .io
+                    .read_to_string(&path)
+                    .map_err(|e| format!("unreadable: {e}"))
+                    .and_then(|text| legacy_envelope(&text, &key));
+                match parsed {
+                    Ok((job, run)) => {
+                        self.put(&key, &job, &run)?;
+                        present.insert(key);
                         report.converted += 1;
                     }
-                }
-                Ok(None) => {} // raced with a concurrent remove
-                Err(reason) => {
-                    eprintln!("[store] dropping {key}: {reason}");
-                    self.remove(&key);
-                    report.dropped += 1;
+                    Err(reason) => {
+                        eprintln!("[store] dropping legacy {}: {reason}", path.display());
+                        report.dropped += 1;
+                    }
                 }
             }
+            self.io.remove_file(&path).ok();
         }
         self.rebuild_index()?;
         Ok(report)
@@ -619,9 +402,23 @@ impl ResultStore {
 
     /// Re-derive the packed index from the filesystem and atomically
     /// replace the in-memory mirror. Run by `verify`/`migrate` and on
-    /// open when the index file is absent or unreadable.
+    /// open when the index file is absent, unreadable, or from another
+    /// index version. Warns once when it finds legacy JSON entries.
     pub fn rebuild_index(&self) -> Result<(), FarmError> {
-        let state = self.scan_disk()?;
+        let (entries, legacy) = self.disk_entries()?;
+        if !legacy.is_empty() {
+            eprintln!(
+                "warning: {} legacy JSON store entries under {} are not read; \
+                 run `farm_ctl migrate` to convert them",
+                legacy.len(),
+                self.dir.display()
+            );
+        }
+        let mut state = IndexState::default();
+        for (key, path) in entries {
+            let size = self.io.file_size(&path).unwrap_or(0);
+            state.live.insert(key, size);
+        }
         let path = self.index_path();
         self.io
             .write(&path, &state.to_bytes())
@@ -658,48 +455,13 @@ impl ResultStore {
         }
     }
 
-    /// Derive a fresh [`IndexState`] from the entry files on disk. A
-    /// key present in both representations is recorded under the
-    /// handle's preferred one (which is also what the read path would
-    /// answer from).
-    fn scan_disk(&self) -> Result<IndexState, FarmError> {
-        let mut chosen: BTreeMap<String, (PathBuf, EntryFormat)> = BTreeMap::new();
-        for (key, path, format) in self.disk_entries()? {
-            match chosen.entry(key) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert((path, format));
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    if format == self.format {
-                        o.insert((path, format));
-                    }
-                }
-            }
-        }
-        let mut state = IndexState::default();
-        for (key, (path, format)) in chosen {
-            let size = self.io.file_size(&path).unwrap_or(0);
-            state.live.insert(
-                key,
-                IndexEntry {
-                    size,
-                    binary: format == EntryFormat::Binary,
-                },
-            );
-        }
-        Ok(state)
-    }
-
     /// Record a put in the index mirror and append its record to the
     /// index file. Best effort: index failures only warn — the entry
     /// itself is already durably published.
-    fn note_put(&self, key: &str, size: u64, binary: bool) {
+    fn note_put(&self, key: &str, size: u64) {
         let mut handle = self.index.lock().expect("index lock");
-        handle
-            .state
-            .live
-            .insert(key.to_owned(), IndexEntry { size, binary });
-        self.append_record(&mut handle, IndexRecord::put(key, size, binary));
+        handle.state.live.insert(key.to_owned(), size);
+        self.append_record(&mut handle, IndexRecord::put(key, size));
     }
 
     /// Record a remove in the index mirror and append a tombstone.
@@ -724,15 +486,65 @@ impl ResultStore {
     }
 }
 
+/// Both envelope formats carry the store and report format versions an
+/// entry was written under; anything but the current pair is stale.
+fn check_versions(store_format: u64, report_format: u64) -> Result<(), String> {
+    if store_format != u64::from(STORE_FORMAT) {
+        return Err(format!(
+            "store format {store_format} != current {STORE_FORMAT} (stale)"
+        ));
+    }
+    let current = ptb_core::report::REPORT_FORMAT;
+    if report_format != u64::from(current) {
+        return Err(format!(
+            "report format {report_format} != current {current} (stale)"
+        ));
+    }
+    Ok(())
+}
+
+/// Parse and validate a legacy pretty-JSON envelope
+/// `{ store_format, report_format, key, job, report }` — the only code
+/// that reads that format, used by [`ResultStore::migrate`]. Applies
+/// the checks the `PTBE` read path and `verify` make: format versions,
+/// embedded key against the filename, embedded job against the key,
+/// and report decode.
+fn legacy_envelope(text: &str, key: &str) -> Result<(FarmJob, RunReport), String> {
+    let v = json::parse(text).map_err(|e| format!("parse: {e}"))?;
+    let version = |field: &str| {
+        v.get(field)
+            .and_then(Value::as_u64)
+            .ok_or_else(|| format!("missing {field}"))
+    };
+    check_versions(version("store_format")?, version("report_format")?)?;
+    if v.get("key").and_then(Value::as_str) != Some(key) {
+        return Err("embedded key does not match filename".into());
+    }
+    let job =
+        FarmJob::from_value(v.get("job").ok_or("missing job")?).map_err(|e| format!("job: {e}"))?;
+    if job.key() != key {
+        return Err("embedded job does not hash to this key".into());
+    }
+    let report = RunReport::from_value(v.get("report").ok_or("missing report")?)
+        .map_err(|e| format!("report: {e}"))?;
+    Ok((job, report))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ptb_core::{MechanismKind, SimConfig};
     use ptb_workloads::{Benchmark, Scale};
+    use serde::Map;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tiny_job() -> FarmJob {
+        job(Benchmark::Fft)
+    }
+
+    fn job(bench: Benchmark) -> FarmJob {
         FarmJob::new(
-            Benchmark::Fft,
+            bench,
             SimConfig {
                 n_cores: 2,
                 scale: Scale::Test,
@@ -748,14 +560,76 @@ mod tests {
         dir
     }
 
-    fn open_fmt(dir: &Path, format: EntryFormat) -> ResultStore {
-        ResultStore::open_with_format(dir, Arc::new(RealIo), format).expect("open store")
+    fn open(dir: &Path) -> ResultStore {
+        ResultStore::open(dir).expect("open store")
+    }
+
+    /// A pretty-JSON envelope as stores wrote them before `PTBE` became
+    /// the only format.
+    fn legacy_json(key: &str, job: &FarmJob, report: &RunReport) -> String {
+        let mut env = Map::new();
+        env.insert("store_format".into(), Value::U64(u64::from(STORE_FORMAT)));
+        env.insert(
+            "report_format".into(),
+            Value::U64(u64::from(ptb_core::report::REPORT_FORMAT)),
+        );
+        env.insert("key".into(), Value::Str(key.to_owned()));
+        env.insert("job".into(), job.to_value());
+        env.insert("report".into(), report.to_value());
+        json::to_string_pretty(&Value::Object(env))
+    }
+
+    /// Real filesystem, counting every call that reads an entry or
+    /// probes for one.
+    #[derive(Default)]
+    struct CountingIo {
+        reads: AtomicU64,
+    }
+
+    impl FarmIo for CountingIo {
+        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.create_dir_all(path)
+        }
+        fn read_to_string(&self, path: &Path) -> std::io::Result<String> {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            RealIo.read_to_string(path)
+        }
+        fn read_bytes(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            RealIo.read_bytes(path)
+        }
+        fn file_size(&self, path: &Path) -> std::io::Result<u64> {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            RealIo.file_size(path)
+        }
+        fn write(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+            RealIo.write(path, data)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            RealIo.rename(from, to)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.remove_file(path)
+        }
+        fn read_dir_names(&self, path: &Path) -> std::io::Result<Vec<String>> {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            RealIo.read_dir_names(path)
+        }
+        fn open_append(&self, path: &Path) -> std::io::Result<File> {
+            RealIo.open_append(path)
+        }
+        fn append_line(&self, file: &mut File, line: &str, path: &Path) -> std::io::Result<()> {
+            RealIo.append_line(file, line, path)
+        }
+        fn append_bytes(&self, file: &mut File, bytes: &[u8], path: &Path) -> std::io::Result<()> {
+            RealIo.append_bytes(file, bytes, path)
+        }
     }
 
     #[test]
     fn binary_entries_round_trip_and_verify() {
         let dir = store_dir("binfmt");
-        let store = open_fmt(&dir, EntryFormat::Binary);
+        let store = open(&dir);
         let job = tiny_job();
         let key = job.key();
         let report = job.simulate();
@@ -773,45 +647,77 @@ mod tests {
     }
 
     #[test]
-    fn either_handle_reads_either_representation() {
-        let dir = store_dir("xfmt");
+    fn a_lookup_makes_exactly_one_read() {
+        let dir = store_dir("onepath");
+        let io = Arc::new(CountingIo::default());
+        let store = ResultStore::open_with(&dir, io.clone()).expect("open store");
         let job = tiny_job();
         let key = job.key();
-        let report = job.simulate();
-        open_fmt(&dir, EntryFormat::Json)
-            .put(&key, &job, &report)
-            .expect("json put");
-        // A binary-writing handle still answers from the JSON entry.
-        let bin_handle = open_fmt(&dir, EntryFormat::Binary);
-        assert!(matches!(bin_handle.get(&key, &job), StoreLookup::Hit(_)));
+
+        io.reads.store(0, Ordering::Relaxed);
+        assert!(matches!(store.get(&key, &job), StoreLookup::Miss));
+        assert_eq!(
+            io.reads.load(Ordering::Relaxed),
+            1,
+            "a miss probes one path"
+        );
+
+        store.put(&key, &job, &job.simulate()).expect("put");
+        io.reads.store(0, Ordering::Relaxed);
+        assert!(matches!(store.get(&key, &job), StoreLookup::Hit(_)));
+        assert_eq!(io.reads.load(Ordering::Relaxed), 1, "a hit reads one file");
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `migrate` is the one reader of legacy JSON envelopes: it converts
+    /// valid ones (sharded and flat alike), drops invalid ones, and is a
+    /// no-op on a second pass. Until then the read path does not see
+    /// them.
     #[test]
     fn flat_legacy_entries_are_read_and_migrated() {
         let dir = store_dir("flat");
-        let job = tiny_job();
-        let key = job.key();
-        let report = job.simulate();
-        // Write sharded, then demote the entry to the flat legacy
-        // layout by hand.
-        let store = open_fmt(&dir, EntryFormat::Json);
-        store.put(&key, &job, &report).expect("put");
-        let sharded = store.path_for(&key);
-        let flat = dir.join(format!("{key}.json"));
-        std::fs::rename(&sharded, &flat).expect("demote to flat");
-        assert!(matches!(store.get(&key, &job), StoreLookup::Hit(_)));
-        assert_eq!(store.keys().expect("keys"), vec![key.clone()]);
+        let (sharded_job, flat_job) = (job(Benchmark::Fft), job(Benchmark::Radix));
+        let (sharded_key, flat_key) = (sharded_job.key(), flat_job.key());
+        let sharded = dir
+            .join(&sharded_key[..2])
+            .join(format!("{sharded_key}.json"));
+        let flat = dir.join(format!("{flat_key}.json"));
+        let corrupt_key = "0123456789abcdef0123456789abcdef";
+        let corrupt = dir
+            .join(&corrupt_key[..2])
+            .join(format!("{corrupt_key}.json"));
+        for path in [&sharded, &corrupt] {
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        }
+        for (path, key, job) in [
+            (&sharded, &sharded_key, &sharded_job),
+            (&flat, &flat_key, &flat_job),
+        ] {
+            std::fs::write(path, legacy_json(key, job, &job.simulate())).unwrap();
+        }
+        std::fs::write(&corrupt, "{\"store_format\": 2, \"key").unwrap();
 
-        let m = store.migrate(EntryFormat::Binary).expect("migrate");
-        assert_eq!((m.converted, m.already, m.dropped), (1, 0, 0));
-        assert!(!flat.exists(), "flat file retired");
-        assert!(dir.join(&key[..2]).join(format!("{key}.bin")).exists());
-        assert!(matches!(store.get(&key, &job), StoreLookup::Hit(_)));
+        let store = open(&dir);
+        assert!(matches!(store.get(&flat_key, &flat_job), StoreLookup::Miss));
+        assert_eq!(store.disk_stats().expect("stats").entries, 0);
 
-        // Second pass is a no-op.
-        let m = store.migrate(EntryFormat::Binary).expect("migrate");
-        assert_eq!((m.converted, m.already, m.dropped), (0, 1, 0));
+        let m = store.migrate().expect("migrate");
+        assert_eq!((m.converted, m.already, m.dropped), (2, 0, 1));
+        for path in [&sharded, &flat, &corrupt] {
+            assert!(!path.exists(), "{} retired", path.display());
+        }
+        assert!(matches!(
+            store.get(&sharded_key, &sharded_job),
+            StoreLookup::Hit(_)
+        ));
+        assert!(matches!(
+            store.get(&flat_key, &flat_job),
+            StoreLookup::Hit(_)
+        ));
+        assert_eq!(store.disk_stats().expect("stats").entries, 2);
+
+        let m = store.migrate().expect("migrate");
+        assert_eq!((m.converted, m.already, m.dropped), (0, 2, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -821,7 +727,7 @@ mod tests {
         let job = tiny_job();
         let key = job.key();
         let report = job.simulate();
-        let store = open_fmt(&dir, EntryFormat::Binary);
+        let store = open(&dir);
         store.put(&key, &job, &report).expect("put");
         let stats = store.disk_stats().expect("stats");
         assert_eq!(stats.entries, 1);
@@ -831,7 +737,7 @@ mod tests {
 
         // A fresh handle loads the same numbers from the index file
         // without walking the shard directories.
-        let reopened = open_fmt(&dir, EntryFormat::Binary);
+        let reopened = open(&dir);
         assert_eq!(reopened.disk_stats().expect("stats"), stats);
 
         // Remove → tombstone → zeroed stats.
@@ -848,11 +754,9 @@ mod tests {
         let job = tiny_job();
         let key = job.key();
         let report = job.simulate();
-        open_fmt(&dir, EntryFormat::Json)
-            .put(&key, &job, &report)
-            .expect("put");
+        open(&dir).put(&key, &job, &report).expect("put");
         std::fs::write(dir.join(INDEX_FILE), b"definitely not an index").unwrap();
-        let store = open_fmt(&dir, EntryFormat::Json);
+        let store = open(&dir);
         let stats = store.disk_stats().expect("stats");
         assert_eq!(stats.entries, 1, "rebuilt from the filesystem");
         std::fs::remove_dir_all(&dir).ok();
@@ -867,7 +771,7 @@ mod tests {
     #[test]
     fn simultaneous_same_key_writers_do_not_collide() {
         let dir = store_dir("tmprace");
-        let store = open_fmt(&dir, EntryFormat::Json);
+        let store = open(&dir);
         let job = tiny_job();
         let key = job.key();
         let report = job.simulate();

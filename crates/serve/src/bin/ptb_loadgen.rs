@@ -23,7 +23,8 @@
 //! `BENCH_serve.json`).
 
 use ptb_core::SimConfig;
-use ptb_farm::{EntryFormat, Farm, FarmJob, RealIo};
+use ptb_farm::hash::splitmix64;
+use ptb_farm::{Farm, FarmJob};
 use ptb_serve::{http_call, ServeConfig, ServerConfig};
 use ptb_workloads::{Benchmark, Scale};
 use serde::{json, Map, Serialize, Value};
@@ -51,14 +52,6 @@ fn nth_job(i: u64) -> FarmJob {
     FarmJob::new(Benchmark::Fft, config)
 }
 
-/// SplitMix64: deterministic client-side key picks.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 fn p(xs: &[f64], q: f64) -> f64 {
     ptb_metrics::percentile(xs, q)
 }
@@ -81,8 +74,7 @@ fn main() {
     let farm_dir = flag(&args, "--farm-dir").unwrap_or_else(|| "target/loadgen_farm".to_string());
 
     // Phase 1: populate. One real simulation, N store entries.
-    let farm = Farm::open_with_io_format(&farm_dir, Arc::new(RealIo), EntryFormat::Binary)
-        .expect("open farm store");
+    let farm = Farm::open(&farm_dir).expect("open farm store");
     let have = farm.store().len() as u64;
     if have < populate {
         eprintln!(
@@ -137,7 +129,7 @@ fn main() {
                 let mut lost = 0u64;
                 for r in 0..requests {
                     let picks: Vec<u64> = (0..batch)
-                        .map(|b| splitmix((c * requests + r) as u64 * 64 + b as u64) % populate)
+                        .map(|b| splitmix64((c * requests + r) as u64 * 64 + b as u64) % populate)
                         .collect();
                     let jobs: Vec<(String, Value)> = picks
                         .iter()

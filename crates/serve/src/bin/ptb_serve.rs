@@ -3,7 +3,6 @@
 //! ```text
 //! ptb_serve [--addr HOST:PORT] [--farm-dir PATH] [--workers N]
 //!           [--queue N] [--sim-threads N] [--job-timeout SECS]
-//!           [--store-format json|bin]
 //!           [--lease-ttl-ms N] [--reaper-tick-ms N] [--max-claims N]
 //!           [--batch-ttl SECS] [--worker-grace-ms N] [--no-local]
 //! ```
@@ -14,7 +13,7 @@
 //! the socket is bound, then serves until killed; `/healthz` is the
 //! readiness probe.
 
-use ptb_farm::{ChaosConfig, ChaosIo, EntryFormat, Farm, FarmIo, RealIo};
+use ptb_farm::Farm;
 use ptb_serve::{ServeConfig, ServerConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -31,7 +30,7 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "usage: ptb_serve [--addr HOST:PORT] [--farm-dir PATH] [--workers N] \
-             [--queue N] [--sim-threads N] [--job-timeout SECS] [--store-format json|bin] \
+             [--queue N] [--sim-threads N] [--job-timeout SECS] \
              [--lease-ttl-ms N] [--reaper-tick-ms N] [--max-claims N] [--batch-ttl SECS] \
              [--worker-grace-ms N] [--no-local]"
         );
@@ -76,25 +75,7 @@ fn main() {
         serve_cfg.local_execution = false;
     }
 
-    let format = flag(&args, "--store-format")
-        .or_else(|| std::env::var("PTB_STORE_FORMAT").ok())
-        .and_then(|v| EntryFormat::parse(&v))
-        .unwrap_or_default();
-    let chaos_rate = std::env::var("PTB_CHAOS")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.0);
-    let io: Arc<dyn FarmIo> = if chaos_rate > 0.0 {
-        let seed = std::env::var("PTB_CHAOS_SEED")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0);
-        eprintln!("[serve] CHAOS MODE: fault rate {chaos_rate}, seed {seed}");
-        Arc::new(ChaosIo::new(ChaosConfig::uniform(seed, chaos_rate)))
-    } else {
-        Arc::new(RealIo)
-    };
-    let farm = match Farm::open_with_io_format(&farm_dir, io, format) {
+    let farm = match Farm::open_with_io(&farm_dir, ptb_farm::io_from_env()) {
         Ok(f) => Arc::new(f),
         Err(e) => {
             eprintln!("error: cannot open farm store {farm_dir}: {e}");
@@ -110,7 +91,7 @@ fn main() {
         }
     };
     println!("ptb-serve listening on http://{}", handle.addr());
-    println!("  farm store: {farm_dir} ({format})");
+    println!("  farm store: {farm_dir}");
     // Serve until the process is killed (CI stops it with SIGTERM).
     loop {
         std::thread::park();

@@ -23,6 +23,7 @@
 
 use crate::http::http_call;
 use parking_lot::Mutex;
+use ptb_farm::hash::{fnv1a64, splitmix64};
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -160,7 +161,7 @@ impl ChaosNet {
     /// Uniform chance in `[0, 1)` for the next `(tag, fault)` decision:
     /// SplitMix64 over seed ⊕ FNV-1a(tag) ⊕ FNV-1a(fault) ⊕ ordinal.
     fn roll(&self, tag: &str, fault: &str) -> f64 {
-        let tag_hash = fnv1a(tag.as_bytes()) ^ fnv1a(fault.as_bytes());
+        let tag_hash = fnv1a64(tag.as_bytes()) ^ fnv1a64(fault.as_bytes());
         let ordinal = {
             let mut ords = self.ordinals.lock();
             let n = ords.entry(tag_hash).or_insert(0);
@@ -232,7 +233,7 @@ impl Transport for ChaosNet {
         if self.roll(tag, "latency") < self.cfg.latency {
             self.stats.delayed.fetch_add(1, Ordering::Relaxed);
             // Bounded, seed-determined pause (1–64 ms).
-            let ms = 1 + (splitmix64(self.cfg.seed ^ fnv1a(tag.as_bytes())) % 64);
+            let ms = 1 + (splitmix64(self.cfg.seed ^ fnv1a64(tag.as_bytes())) % 64);
             std::thread::sleep(Duration::from_millis(ms));
         }
         if self.roll(tag, "drop") < self.cfg.drop {
@@ -267,22 +268,6 @@ impl Transport for ChaosNet {
         }
         Ok((status, payload))
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 //! integrity handling of corrupt or stale store entries.
 
 use ptb_core::{MechanismKind, SimConfig};
+use ptb_farm::hash::fnv1a64;
 use ptb_farm::{Farm, FarmJob};
 use ptb_workloads::{Benchmark, Scale};
 use serde::{json, Serialize};
@@ -149,7 +150,7 @@ fn corrupt_and_stale_entries_are_dropped_and_rerun() {
     let key = j.key();
     let path = farm.store().path_for(&key);
 
-    // Truncated/garbage JSON → dropped, re-simulated, re-stored.
+    // Truncated/garbage envelope → dropped, re-simulated, re-stored.
     std::fs::write(&path, b"{\"store_format\":1,\"key").unwrap();
     let again = farm.run_batch(std::slice::from_ref(&j), 1);
     let s = farm.stats();
@@ -160,11 +161,27 @@ fn corrupt_and_stale_entries_are_dropped_and_rerun() {
         json::to_string(&again[0].to_value())
     );
 
-    // Stale format version → same treatment.
-    let text = std::fs::read_to_string(&path).unwrap();
-    let current = format!("\"store_format\": {}", ptb_farm::STORE_FORMAT);
-    assert!(text.contains(&current), "envelope carries current format");
-    std::fs::write(&path, text.replacen(&current, "\"store_format\": 0", 1)).unwrap();
+    // Stale format version → same treatment. Patch the store format
+    // (bytes 8..12 of the envelope) and re-seal the trailing checksum,
+    // so the entry is intact and only its version is wrong.
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert_eq!(
+        bytes[8..12],
+        ptb_farm::STORE_FORMAT.to_le_bytes(),
+        "envelope carries current format"
+    );
+    bytes[8..12].copy_from_slice(&0u32.to_le_bytes());
+    let body = bytes.len() - 8;
+    let sum = fnv1a64(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let Err(reason) = farm.store().read_entry(&key) else {
+        panic!("stale entry read back as valid");
+    };
+    assert!(
+        reason.contains("stale"),
+        "version check, not checksum: {reason}"
+    );
     farm.run_batch(std::slice::from_ref(&j), 1);
     let s = farm.stats();
     assert_eq!(s.corrupt, 2, "stale format detected");

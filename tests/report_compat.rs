@@ -100,7 +100,7 @@ fn unknown_fields_are_tolerated_not_fatal() {
 }
 
 #[test]
-fn store_round_trip_preserves_reports_and_tolerates_unknown_envelope_fields() {
+fn store_round_trip_preserves_reports() {
     let dir = std::env::temp_dir().join(format!("ptb-compat-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let farm = Farm::open(&dir).expect("open farm");
@@ -116,13 +116,6 @@ fn store_round_trip_preserves_reports_and_tolerates_unknown_envelope_fields() {
     let key = job.key();
     let report = sample_report(true);
     farm.store().put(&key, &job, &report).expect("store");
-
-    // Inject an unknown envelope field, as a future writer might.
-    let path = farm.store().path_for(&key);
-    let mut env = as_object(json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap());
-    env.insert("written_by".into(), Value::Str("ptb-farm vNext".into()));
-    std::fs::write(&path, json::to_string(&Value::Object(env))).unwrap();
-
     match farm.store().get(&key, &job) {
         ptb_farm::StoreLookup::Hit(back) => {
             assert_eq!(

@@ -4,7 +4,7 @@
 //! store underneath is fault-injected.
 
 use ptb_core::{MechanismKind, SimConfig};
-use ptb_farm::{ChaosConfig, ChaosIo, EntryFormat, Farm, FarmJob};
+use ptb_farm::{ChaosConfig, ChaosIo, Farm, FarmJob};
 use ptb_serve::{http_call, ServeConfig, ServerConfig};
 use ptb_workloads::{Benchmark, Scale};
 use serde::{json, Map, Serialize, Value};
@@ -173,12 +173,7 @@ fn fresh_server_serves_cold_store_and_shorthand_jobs() {
     }
     // A brand-new server over the same store answers from disk.
     let farm = Arc::new(
-        Farm::open_with_io_format(
-            dir.join("farm"),
-            Arc::new(ptb_farm::RealIo),
-            EntryFormat::Binary,
-        )
-        .expect("reopen farm"),
+        Farm::open_with_io(dir.join("farm"), Arc::new(ptb_farm::RealIo)).expect("reopen farm"),
     );
     let handle = ptb_serve::start(
         farm,
@@ -262,9 +257,7 @@ fn chaos_faulted_store_degrades_gracefully_and_server_stays_up() {
     let dir = serve_dir("chaos");
     // Heavy fault injection on every store/journal operation.
     let io = Arc::new(ChaosIo::new(ChaosConfig::uniform(7, 0.9)));
-    let farm = Arc::new(
-        Farm::open_with_io_format(dir.join("farm"), io, EntryFormat::Binary).expect("open farm"),
-    );
+    let farm = Arc::new(Farm::open_with_io(dir.join("farm"), io).expect("open farm"));
     let handle = ptb_serve::start(
         farm.clone(),
         "127.0.0.1:0",
