@@ -25,9 +25,12 @@ fn bench_mesh(c: &mut Criterion) {
                         i,
                     );
                 }
+                let mut arrivals = Vec::new();
                 for _ in 0..128 {
                     mesh.advance();
-                    black_box(mesh.take_arrivals());
+                    mesh.drain_arrivals(&mut arrivals);
+                    black_box(&arrivals);
+                    arrivals.clear();
                 }
             },
             BatchSize::SmallInput,
@@ -149,6 +152,7 @@ fn bench_memory_system(c: &mut Criterion) {
             || MemorySystem::new(MemConfig::default(), 16),
             |mut ms| {
                 let mut id = 0u64;
+                let mut responses = Vec::new();
                 for round in 0..40u64 {
                     for core in 0..16usize {
                         let addr = 0x1000_0000 + ((round * 16 + core as u64) % 256) * 64;
@@ -167,7 +171,9 @@ fn bench_memory_system(c: &mut Criterion) {
                     }
                     for _ in 0..20 {
                         ms.tick();
-                        black_box(ms.drain_responses());
+                        ms.drain_responses(&mut responses);
+                        black_box(&responses);
+                        responses.clear();
                     }
                 }
             },

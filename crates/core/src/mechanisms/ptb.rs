@@ -30,8 +30,9 @@ use std::collections::VecDeque;
 #[derive(Debug)]
 struct Flight {
     arrives_at: u64,
-    /// The balancer cluster this flight belongs to (core index range).
-    members: (usize, usize),
+    /// Index into `PtbMechanism::clusters` of the balancer that launched
+    /// this flight.
+    cluster: usize,
     /// Grant per core (tokens added to the effective budget on arrival).
     grants: Vec<f64>,
     /// Pledge per core (tokens subtracted from the giver until arrival).
@@ -58,6 +59,15 @@ pub struct PtbMechanism {
     arrived: Vec<f64>,
     /// Cycle the current grants last landed, per cluster.
     last_land: Vec<u64>,
+    /// Scratch, reused every cycle so `control` does not allocate: which
+    /// clusters had a flight land this cycle, the effective budgets, one
+    /// cluster's spare and deficit tokens, and the grant/pledge vectors
+    /// of landed flights, recycled for the next launch.
+    landed: Vec<bool>,
+    effective: Vec<f64>,
+    spare: Vec<f64>,
+    deficit: Vec<f64>,
+    recycled: Vec<(Vec<f64>, Vec<f64>)>,
     /// Was the chip over budget last cycle (balancer active)? The wires
     /// and balancer logic are clock-gated otherwise, so the ≈1 % power
     /// overhead only accrues while balancing.
@@ -91,6 +101,11 @@ impl PtbMechanism {
             pledged: vec![0.0; n],
             arrived: vec![0.0; n],
             last_land: vec![0; n.div_ceil(cluster)],
+            landed: vec![false; n.div_ceil(cluster)],
+            effective: Vec::with_capacity(n),
+            spare: Vec::with_capacity(cluster),
+            deficit: Vec::with_capacity(cluster),
+            recycled: Vec::new(),
             active: false,
             uncore: UncoreEma::default(),
             last_policy: match policy {
@@ -142,36 +157,37 @@ impl Mechanism for PtbMechanism {
         //    grants in force for that flight's cluster. If a cluster's
         //    balancing has gone quiet for a full round-trip, its held
         //    grants expire.
-        let mut landed_clusters: Vec<(usize, usize)> = Vec::new();
+        self.landed.fill(false);
         while let Some(f) = self.in_flight.front() {
             if f.arrives_at > obs.cycle {
                 break;
             }
             let f = self.in_flight.pop_front().expect("peeked");
-            if !landed_clusters.contains(&f.members) {
-                self.arrived[f.members.0..f.members.1]
-                    .iter_mut()
-                    .for_each(|g| *g = 0.0);
-                landed_clusters.push(f.members);
+            let (lo, hi) = self.clusters[f.cluster];
+            if !self.landed[f.cluster] {
+                self.arrived[lo..hi].fill(0.0);
+                self.landed[f.cluster] = true;
             }
-            for i in f.members.0..f.members.1 {
-                self.arrived[i] += f.grants[i - f.members.0];
-                self.pledged[i] -= f.pledges[i - f.members.0];
+            for i in lo..hi {
+                self.arrived[i] += f.grants[i - lo];
+                self.pledged[i] -= f.pledges[i - lo];
             }
+            self.recycled.push((f.grants, f.pledges));
         }
-        for (ci, &(lo, hi)) in self.clusters.clone().iter().enumerate() {
-            if landed_clusters.contains(&(lo, hi)) {
+        for ci in 0..self.clusters.len() {
+            let (lo, hi) = self.clusters[ci];
+            if self.landed[ci] {
                 self.last_land[ci] = obs.cycle;
             } else if obs.cycle.saturating_sub(self.last_land[ci]) > self.latency {
-                self.arrived[lo..hi].iter_mut().for_each(|g| *g = 0.0);
+                self.arrived[lo..hi].fill(0.0);
             }
         }
         // 2. Effective budget per core this cycle (uncore-aware split +
         //    balancing adjustments).
         let local = core_local_budget(budget, self.uncore.update(obs.uncore_tokens));
-        let effective: Vec<f64> = (0..n)
-            .map(|i| (local + self.arrived[i] - self.pledged[i]).max(0.0))
-            .collect();
+        self.effective.clear();
+        self.effective
+            .extend((0..n).map(|i| (local + self.arrived[i] - self.pledged[i]).max(0.0)));
         let chip_over = obs.chip_tokens > budget.global;
         self.active = chip_over;
         // 3. Each (replicated) balancer collects offers and deficits from
@@ -181,27 +197,33 @@ impl Mechanism for PtbMechanism {
             let cap = local; // wire-code ceiling: 2^bits − 1 quanta
             let policy = self.resolve_policy(obs);
             self.last_policy = policy;
-            for &(lo, hi) in self.clusters.clone().iter() {
+            for ci in 0..self.clusters.len() {
+                let (lo, hi) = self.clusters[ci];
                 let m = hi - lo;
-                let mut spare = vec![0.0; m];
-                let mut deficit = vec![0.0; m];
+                let (spare, deficit) = (&mut self.spare, &mut self.deficit);
+                spare.clear();
+                spare.resize(m, 0.0);
+                deficit.clear();
+                deficit.resize(m, 0.0);
                 let mut pool = 0.0;
                 for i in lo..hi {
                     let used = obs.cores[i].tokens;
-                    if used < effective[i] {
+                    let effective = self.effective[i];
+                    if used < effective {
                         // Quantise down to the wire code.
-                        let sp =
-                            (((effective[i] - used) / quantum).floor() * quantum).clamp(0.0, cap);
+                        let sp = (((effective - used) / quantum).floor() * quantum).clamp(0.0, cap);
                         spare[i - lo] = sp;
                         pool += sp;
                     } else {
-                        deficit[i - lo] = used - effective[i];
+                        deficit[i - lo] = used - effective;
                     }
                 }
                 if pool <= 0.0 || deficit.iter().all(|&d| d <= 0.0) {
                     continue;
                 }
-                let mut grants = vec![0.0; m];
+                let (mut grants, mut pledges) = self.recycled.pop().unwrap_or_default();
+                grants.clear();
+                grants.resize(m, 0.0);
                 match policy {
                     PtbPolicy::ToOne => {
                         // All tokens to the neediest core in the cluster.
@@ -215,7 +237,7 @@ impl Mechanism for PtbMechanism {
                     PtbPolicy::ToAll | PtbPolicy::Dynamic => {
                         let recipients = deficit.iter().filter(|&&d| d > 0.0).count() as f64;
                         let share = pool / recipients;
-                        for (g, &d) in grants.iter_mut().zip(&deficit) {
+                        for (g, &d) in grants.iter_mut().zip(deficit.iter()) {
                             if d > 0.0 {
                                 *g = share.min(cap);
                             }
@@ -227,25 +249,26 @@ impl Mechanism for PtbMechanism {
                 // Givers pledge exactly what will be granted (pro-rata), so
                 // budget mass is conserved in flight.
                 let scale = if pool > 0.0 { granted / pool } else { 0.0 };
-                let pledges: Vec<f64> = spare.iter().map(|s| s * scale).collect();
+                pledges.clear();
+                pledges.extend(spare.iter().map(|s| s * scale));
                 for i in lo..hi {
                     self.pledged[i] += pledges[i - lo];
                 }
                 self.in_flight.push_back(Flight {
                     arrives_at: obs.cycle + self.latency,
-                    members: (lo, hi),
+                    cluster: ci,
                     grants,
                     pledges,
                 });
             }
         }
         // 4. Local enforcement against the effective budgets.
-        for i in 0..n {
-            let trigger_budget = effective[i] * (1.0 + self.relax);
+        for (i, action) in actions.iter_mut().enumerate().take(n) {
+            let trigger_budget = self.effective[i] * (1.0 + self.relax);
             let (mode, throttle) =
                 self.savers[i].step(obs.cores[i].tokens, trigger_budget, chip_over);
-            actions[i].mode = mode;
-            actions[i].throttle = throttle;
+            action.mode = mode;
+            action.throttle = throttle;
         }
     }
 

@@ -8,7 +8,7 @@ use crate::mechanisms::{self, ChipObs, CoreAction, CoreObs, Mechanism};
 use crate::report::{CoreReport, RunReport};
 use crate::trace::PowerTrace;
 use ptb_isa::{Addr, CoreId, CtxState, InstStream, StreamEnv};
-use ptb_mem::{AccessKind, MemReq, MemorySystem};
+use ptb_mem::{AccessKind, MemReq, MemResp, MemorySystem};
 use ptb_obs::{MemPulse, NullObserver, Phase, RunEnd, RunMeta, SimObserver, SpinKind, ThrottleObs};
 use ptb_power::{
     core_cycle_tokens, uncore_cycle_tokens, ChipEnergy, CoreActivity, DvfsMode, PowerSample,
@@ -222,10 +222,17 @@ impl Simulation {
         // deque keeps the drain O(1) per request instead of Vec::remove(0)
         // shifting the whole queue.
         let mut retry: Vec<VecDeque<CoreMemReq>> = vec![VecDeque::new(); n];
+        // Per-cycle buffers, allocated once: the loop below reuses them
+        // every cycle so the steady state makes no heap allocations.
         let mut mem_buf: Vec<CoreMemReq> = Vec::new();
+        let mut resp_buf: Vec<MemResp> = Vec::new();
         let mut rmw_buf: Vec<RmwExec> = Vec::new();
-        let mut tokens = vec![0.0f64; n];
         let mut obs_buf: Vec<CoreObs> = Vec::with_capacity(n);
+        // This cycle's per-core tokens live in the sample itself.
+        let mut sample = PowerSample {
+            per_core: vec![0.0f64; n],
+            uncore: 0.0,
+        };
 
         // Observer-only state; dead (and optimised out) under NullObserver.
         let profile = O::ENABLED && obs.wants_phase_timing();
@@ -270,7 +277,8 @@ impl Simulation {
                 phase_t = phase_mark(obs, Phase::Noc, phase_t);
             }
             mem.advance_events();
-            for resp in mem.drain_responses() {
+            mem.drain_responses(&mut resp_buf);
+            for resp in resp_buf.drain(..) {
                 cores[resp.core.index()].mem_response(resp.id);
             }
             if profile {
@@ -308,13 +316,14 @@ impl Simulation {
                         CoreActivity::default()
                     }
                 };
-                tokens[c] = core_cycle_tokens(params, &act, mode);
+                sample.per_core[c] = core_cycle_tokens(params, &act, mode);
 
                 // Forward freshly-emitted memory requests (with retry on
                 // input-queue backpressure).
-                mem_buf.clear();
                 cores[c].drain_mem_requests(&mut mem_buf);
-                retry[c].extend(mem_buf.drain(..));
+                if !mem_buf.is_empty() {
+                    retry[c].extend(mem_buf.drain(..));
+                }
                 while let Some(req) = retry[c].front().copied() {
                     let accepted = mem.request(MemReq {
                         id: req.id,
@@ -366,7 +375,7 @@ impl Simulation {
                     obs_ns += t0.elapsed().as_nanos() as u64;
                 }
             }
-            let uncore = uncore_cycle_tokens(
+            sample.uncore = uncore_cycle_tokens(
                 params,
                 &UncoreActivity {
                     l1_accesses: mem_act.l1_accesses,
@@ -375,14 +384,11 @@ impl Simulation {
                     mem_accesses: mem_act.mem_accesses,
                 },
             ) + mechanism.overhead_tokens(&budget);
-            let sample = PowerSample {
-                per_core: tokens.clone(),
-                uncore,
-            };
+            let (tokens, uncore) = (&sample.per_core, sample.uncore);
             let chip = sample.chip();
             if O::ENABLED {
                 let t0 = if profile { Some(Instant::now()) } else { None };
-                obs.on_cycle(cycle, &tokens, uncore, chip);
+                obs.on_cycle(cycle, tokens, uncore, chip);
                 if let Some(t0) = t0 {
                     obs_ns += t0.elapsed().as_nanos() as u64;
                 }
@@ -393,9 +399,9 @@ impl Simulation {
                 cycles_over += 1;
             }
             if let Some(t) = trace.as_mut() {
-                t.record(cycle, chip, &tokens);
+                t.record(cycle, chip, tokens);
             }
-            for (acc, &t) in thermal_acc.iter_mut().zip(&tokens) {
+            for (acc, &t) in thermal_acc.iter_mut().zip(tokens) {
                 *acc += t;
             }
             if cycle.is_multiple_of(thermal_stride) {
@@ -415,16 +421,23 @@ impl Simulation {
                 phase_t = now;
             }
 
-            // 5. Context/breakdown accounting.
+            // 5. Context/breakdown accounting; also gathers the
+            //    mechanism's per-core observations for step 6.
             let mut all_done = true;
             let mut unfinished_cores = 0usize;
             let mut spinning_cores = 0usize;
+            obs_buf.clear();
             for c in 0..n {
                 let done = cores[c].is_done();
+                let ctx = cores[c].current_ctx();
+                obs_buf.push(CoreObs {
+                    tokens: tokens[c],
+                    ctx,
+                    done,
+                });
                 all_done &= done;
                 if !done {
                     unfinished_cores += 1;
-                    let ctx = cores[c].current_ctx();
                     if ctx.spinning {
                         spinning_cores += 1;
                     }
@@ -480,14 +493,6 @@ impl Simulation {
             }
 
             // 6. Mechanism observes and sets next-cycle actions.
-            obs_buf.clear();
-            for c in 0..n {
-                obs_buf.push(CoreObs {
-                    tokens: tokens[c],
-                    ctx: cores[c].current_ctx(),
-                    done: cores[c].is_done(),
-                });
-            }
             let chip_obs = ChipObs {
                 cycle,
                 chip_tokens: chip,

@@ -3,7 +3,7 @@
 //!
 //! See [`crate::coherence`] for the protocol summary. The system is
 //! cycle-stepped: callers inject [`MemReq`]s, call [`MemorySystem::tick`]
-//! once per cycle, and drain [`MemResp`]s.
+//! once per cycle, and drain [`MemResp`]s into a buffer they reuse.
 
 use crate::cache::{CacheArray, CacheConfig};
 use crate::coherence::{CohMsg, Envelope, Moesi};
@@ -118,7 +118,7 @@ struct WbEntry {
     dirty: bool,
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, Copy)]
 struct DirEntry {
     owner: Option<usize>,
     sharers: u64,
@@ -183,6 +183,11 @@ pub struct MemorySystem {
     seq: u64,
     now: u64,
     responses: Vec<MemResp>,
+    /// Reused buffer for the mesh arrivals of one cycle.
+    arrivals: Vec<(NodeId, Envelope)>,
+    /// Emptied `Mshr::waiting`/`deferred` buffers of completed MSHRs,
+    /// handed to new ones so a miss does not allocate.
+    spare_reqs: Vec<Vec<MemReq>>,
     stats: MemStats,
     activity: MemActivity,
     /// flit-hop counter snapshot for per-tick activity deltas.
@@ -214,6 +219,8 @@ impl MemorySystem {
             seq: 0,
             now: 0,
             responses: Vec::new(),
+            arrivals: Vec::new(),
+            spare_reqs: Vec::new(),
             stats: MemStats::new(n_tiles),
             activity: MemActivity::default(),
             last_flit_hops: 0,
@@ -257,9 +264,10 @@ impl MemorySystem {
         true
     }
 
-    /// Take all responses produced up to and including the current cycle.
-    pub fn drain_responses(&mut self) -> Vec<MemResp> {
-        std::mem::take(&mut self.responses)
+    /// Move all responses produced up to and including the current cycle
+    /// onto the end of `out`.
+    pub fn drain_responses(&mut self, out: &mut Vec<MemResp>) {
+        out.append(&mut self.responses);
     }
 
     /// Per-tick activity counters (for energy accounting); resets deltas.
@@ -331,10 +339,14 @@ impl MemorySystem {
     pub fn advance_noc(&mut self) {
         self.now += 1;
         self.mesh.advance();
-        let arrivals = self.mesh.take_arrivals();
-        for (dst, env) in arrivals {
+        // Handling a message only sends new ones into the mesh, so the
+        // buffer can be detached while it drains and then put back.
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        self.mesh.drain_arrivals(&mut arrivals);
+        for (dst, env) in arrivals.drain(..) {
             self.handle_msg(dst.0, env);
         }
+        self.arrivals = arrivals;
     }
 
     /// Second half of a cycle: fire due latency events and run the
@@ -438,11 +450,14 @@ impl MemorySystem {
             self.tiles[t].inq.push_back(req);
             return;
         }
+        let mut waiting = self.spare_reqs.pop().unwrap_or_default();
+        waiting.push(req);
+        let deferred = self.spare_reqs.pop().unwrap_or_default();
         self.tiles[t].mshrs.push(Mshr {
             line,
             want,
-            waiting: vec![req],
-            deferred: Vec::new(),
+            waiting,
+            deferred,
             data_or_upgrade: false,
             acks_expected: u32::MAX,
             acks_received: 0,
@@ -476,7 +491,7 @@ impl MemorySystem {
                 return;
             }
         }
-        let m = self.tiles[t].mshrs.swap_remove(pos);
+        let mut m = self.tiles[t].mshrs.swap_remove(pos);
         let new_state = match m.want {
             Want::Exclusive => Moesi::M,
             Want::Shared if m.granted_excl => Moesi::E,
@@ -489,13 +504,15 @@ impl MemorySystem {
         self.fill_l1(t, line);
         let home = self.home_of(line);
         self.send(t, home, line, CohMsg::Unblock);
-        for req in m.waiting {
+        for req in m.waiting.drain(..) {
             self.respond(req);
         }
-        for req in m.deferred {
+        for req in m.deferred.drain(..) {
             // Needs a stronger state; goes around again.
             self.tiles[t].inq.push_back(req);
         }
+        self.spare_reqs.push(m.waiting);
+        self.spare_reqs.push(m.deferred);
     }
 
     fn evict_l2(&mut self, t: usize, victim: Addr, state: Moesi) {
@@ -644,7 +661,7 @@ impl MemorySystem {
     fn dir_process(&mut self, home: usize, env: Envelope) {
         let line_idx = env.line.line_index();
         let src = env.src.0;
-        let entry = self.tiles[home].dir.entry(line_idx).or_default().clone();
+        let entry = *self.tiles[home].dir.entry(line_idx).or_default();
         match env.msg {
             CohMsg::GetS => {
                 let e = self.tiles[home]

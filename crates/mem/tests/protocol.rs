@@ -16,12 +16,19 @@ fn req(id: u64, core: usize, kind: AccessKind, addr: u64) -> MemReq {
     }
 }
 
+/// The responses of the current cycle, in a fresh buffer.
+fn responses(ms: &mut MemorySystem) -> Vec<MemResp> {
+    let mut out = Vec::new();
+    ms.drain_responses(&mut out);
+    out
+}
+
 /// Tick until `n` responses have arrived or `limit` cycles pass.
 fn run_for_responses(ms: &mut MemorySystem, n: usize, limit: u64) -> Vec<(MemResp, u64)> {
     let mut got = Vec::new();
     for _ in 0..limit {
         ms.tick();
-        for r in ms.drain_responses() {
+        for r in responses(ms) {
             got.push((r, ms.now()));
         }
         if got.len() >= n {
@@ -302,7 +309,7 @@ fn determinism_same_inputs_same_timing() {
         }
         for _ in 0..5000 {
             ms.tick();
-            for r in ms.drain_responses() {
+            for r in responses(&mut ms) {
                 times.push((r.id, ms.now()));
             }
             if times.len() == 4 {
@@ -330,7 +337,7 @@ fn system_goes_idle_after_draining() {
     // Let WbAcks / Unblocks land.
     for _ in 0..500 {
         ms.tick();
-        ms.drain_responses();
+        responses(&mut ms);
     }
     assert!(ms.is_idle(), "in-flight state left behind");
 }
@@ -380,7 +387,7 @@ fn contended_rmw_storm_completes() {
             }
         }
         ms.tick();
-        let done = ms.drain_responses().len();
+        let done = responses(&mut ms).len();
         completed += done;
         outstanding -= done;
         if completed == total {
@@ -431,7 +438,7 @@ mod prop_soup {
                     }
                 }
                 ms.tick();
-                for resp in ms.drain_responses() {
+                for resp in responses(&mut ms) {
                     prop_assert!(
                         outstanding.remove(&resp.id),
                         "response for unknown/duplicate id {}",

@@ -59,7 +59,7 @@ impl<T> Ord for InFlight<T> {
 /// A payload-generic 2-D mesh with link-reservation wormhole timing.
 ///
 /// Usage: [`Mesh::send`] during a cycle, then [`Mesh::advance`] once per
-/// cycle and drain [`Mesh::take_arrivals`].
+/// cycle and [`Mesh::drain_arrivals`] into a buffer the caller reuses.
 #[derive(Debug)]
 pub struct Mesh<T> {
     cfg: MeshConfig,
@@ -97,7 +97,7 @@ impl<T> Mesh<T> {
     }
 
     /// Inject a `bytes`-byte message from `src` to `dst`; it will be
-    /// delivered to [`Mesh::take_arrivals`] after the modelled latency.
+    /// delivered to [`Mesh::drain_arrivals`] after the modelled latency.
     /// Messages to self are delivered next cycle (router loopback).
     pub fn send(&mut self, src: NodeId, dst: NodeId, bytes: u32, payload: T) {
         let flits = self.cfg.flits(bytes) as u64;
@@ -143,10 +143,10 @@ impl<T> Mesh<T> {
         }
     }
 
-    /// Drain messages that arrived at or before the current cycle, in
-    /// deterministic injection order.
-    pub fn take_arrivals(&mut self) -> Vec<(NodeId, T)> {
-        std::mem::take(&mut self.arrivals)
+    /// Move messages that arrived at or before the current cycle onto the
+    /// end of `out`, in deterministic injection order.
+    pub fn drain_arrivals(&mut self, out: &mut Vec<(NodeId, T)>) {
+        out.append(&mut self.arrivals);
     }
 
     /// Are any messages still in flight or undelivered?
@@ -175,6 +175,13 @@ mod tests {
     use super::*;
     use crate::topology::MeshConfig;
 
+    /// The arrivals of the current cycle, in a fresh buffer.
+    pub(super) fn drained<T>(m: &mut Mesh<T>) -> Vec<(NodeId, T)> {
+        let mut out = Vec::new();
+        m.drain_arrivals(&mut out);
+        out
+    }
+
     fn mesh() -> Mesh<u32> {
         Mesh::new(MeshConfig::for_cores(16))
     }
@@ -183,7 +190,7 @@ mod tests {
         let mut out = Vec::new();
         for _ in 0..limit {
             m.advance();
-            for (dst, p) in m.take_arrivals() {
+            for (dst, p) in drained(m) {
                 out.push((dst, p, m.now()));
             }
             if !out.is_empty() {
@@ -224,7 +231,7 @@ mod tests {
         let mut m = mesh();
         m.send(NodeId(5), NodeId(5), 64, 9);
         m.advance();
-        let got = m.take_arrivals();
+        let got = drained(&mut m);
         assert_eq!(got, vec![(NodeId(5), 9)]);
     }
 
@@ -237,7 +244,7 @@ mod tests {
         let mut arrivals = Vec::new();
         for _ in 0..200 {
             m.advance();
-            arrivals.extend(m.take_arrivals().into_iter().map(|(_, p)| (p, m.now())));
+            arrivals.extend(drained(&mut m).into_iter().map(|(_, p)| (p, m.now())));
         }
         assert_eq!(arrivals.len(), 2);
         let t1 = arrivals.iter().find(|(p, _)| *p == 1).unwrap().1;
@@ -256,7 +263,7 @@ mod tests {
         let mut times = Vec::new();
         for _ in 0..100 {
             m.advance();
-            times.extend(m.take_arrivals().into_iter().map(|(_, p)| (p, m.now())));
+            times.extend(drained(&mut m).into_iter().map(|(_, p)| (p, m.now())));
         }
         let t1 = times.iter().find(|(p, _)| *p == 1).unwrap().1;
         let t2 = times.iter().find(|(p, _)| *p == 2).unwrap().1;
@@ -272,7 +279,7 @@ mod tests {
         for _ in 0..10 {
             m.advance();
         }
-        let got = m.take_arrivals();
+        let got = drained(&mut m);
         assert_eq!(got.len(), 2);
         // Same delivery cycle -> injection order preserved.
         assert_eq!(got[0].1, 10);
@@ -287,7 +294,7 @@ mod tests {
         assert!(!m.is_idle());
         for _ in 0..100 {
             m.advance();
-            m.take_arrivals();
+            drained(&mut m);
         }
         assert!(m.is_idle());
     }
@@ -299,7 +306,7 @@ mod tests {
         m.send(NodeId(1), NodeId(0), 8, 2);
         for _ in 0..50 {
             m.advance();
-            m.take_arrivals();
+            drained(&mut m);
         }
         let s = m.stats();
         assert_eq!(s.messages, 2);
@@ -309,6 +316,7 @@ mod tests {
 
 #[cfg(test)]
 mod prop_tests {
+    use super::tests::drained;
     use super::*;
     use proptest::prelude::*;
 
@@ -330,7 +338,7 @@ mod prop_tests {
             let mut got: Vec<(usize, NodeId, u64)> = Vec::new();
             for _ in 0..100_000u64 {
                 m.advance();
-                for (dst, p) in m.take_arrivals() {
+                for (dst, p) in drained(&mut m) {
                     got.push((p, dst, m.now()));
                 }
                 if m.is_idle() { break; }
@@ -372,7 +380,7 @@ mod prop_tests {
                     next = pending.next();
                 }
                 m.advance();
-                for (_, p) in m.take_arrivals() {
+                for (_, p) in drained(&mut m) {
                     got.push((p, m.now()));
                 }
                 if next.is_none() && m.is_idle() { break; }

@@ -124,29 +124,16 @@ impl MeshConfig {
 
     /// The XY dimension-ordered route from `src` to `dst`, as a sequence of
     /// (router, direction) link traversals. Empty when `src == dst`.
-    pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<(NodeId, Direction)> {
-        let mut path = Vec::new();
-        let mut cur = self.coord(src);
-        let goal = self.coord(dst);
-        while cur.x != goal.x {
-            let dir = if goal.x > cur.x {
-                Direction::East
-            } else {
-                Direction::West
-            };
-            path.push((self.node(cur), dir));
-            cur.x = if goal.x > cur.x { cur.x + 1 } else { cur.x - 1 };
+    pub fn route(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+    ) -> impl ExactSizeIterator<Item = (NodeId, Direction)> {
+        Route {
+            width: self.width,
+            cur: self.coord(src),
+            goal: self.coord(dst),
         }
-        while cur.y != goal.y {
-            let dir = if goal.y > cur.y {
-                Direction::South
-            } else {
-                Direction::North
-            };
-            path.push((self.node(cur), dir));
-            cur.y = if goal.y > cur.y { cur.y + 1 } else { cur.y - 1 };
-        }
-        path
     }
 
     /// Manhattan hop distance between two nodes.
@@ -156,6 +143,45 @@ impl MeshConfig {
         a.x.abs_diff(b.x) + a.y.abs_diff(b.y)
     }
 }
+
+/// The link traversals of one XY route, produced on the fly (see
+/// [`MeshConfig::route`]); no path is allocated per message.
+struct Route {
+    width: usize,
+    cur: Coord,
+    goal: Coord,
+}
+
+impl Iterator for Route {
+    type Item = (NodeId, Direction);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let here = NodeId(self.cur.y * self.width + self.cur.x);
+        let dir = if self.cur.x < self.goal.x {
+            self.cur.x += 1;
+            Direction::East
+        } else if self.cur.x > self.goal.x {
+            self.cur.x -= 1;
+            Direction::West
+        } else if self.cur.y < self.goal.y {
+            self.cur.y += 1;
+            Direction::South
+        } else if self.cur.y > self.goal.y {
+            self.cur.y -= 1;
+            Direction::North
+        } else {
+            return None;
+        };
+        Some((here, dir))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.cur.x.abs_diff(self.goal.x) + self.cur.y.abs_diff(self.goal.y);
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Route {}
 
 #[cfg(test)]
 mod tests {
@@ -185,7 +211,7 @@ mod tests {
     fn xy_route_is_x_then_y() {
         let m = MeshConfig::for_cores(16); // 4x4
                                            // node 1 = (1,0), node 14 = (2,3)
-        let path = m.route(NodeId(1), NodeId(14));
+        let path: Vec<_> = m.route(NodeId(1), NodeId(14)).collect();
         assert_eq!(path.len(), m.hops(NodeId(1), NodeId(14)));
         assert_eq!(path[0], (NodeId(1), Direction::East));
         assert!(matches!(path[1], (_, Direction::South)));
@@ -194,7 +220,7 @@ mod tests {
     #[test]
     fn route_to_self_is_empty() {
         let m = MeshConfig::for_cores(4);
-        assert!(m.route(NodeId(3), NodeId(3)).is_empty());
+        assert_eq!(m.route(NodeId(3), NodeId(3)).len(), 0);
         assert_eq!(m.hops(NodeId(3), NodeId(3)), 0);
     }
 
@@ -258,7 +284,7 @@ mod prop_tests {
             let m = MeshConfig::for_cores(n);
             let src = NodeId(a % m.nodes());
             let dst = NodeId(b % m.nodes());
-            let path = m.route(src, dst);
+            let path: Vec<_> = m.route(src, dst).collect();
             let is_x = |d: Direction| matches!(d, Direction::East | Direction::West);
             let x_steps: Vec<Direction> =
                 path.iter().map(|&(_, d)| d).take_while(|&d| is_x(d)).collect();

@@ -23,9 +23,16 @@ impl CounterRegistry {
         Self::default()
     }
 
-    /// Add `delta` to counter `name` (creating it at 0).
+    /// Add `delta` to counter `name` (creating it at 0). Hooks call
+    /// this every cycle, so the key is allocated only on first insert.
     pub fn add(&mut self, name: &str, delta: f64) {
-        *self.values.entry(name.to_owned()).or_insert(0.0) += delta;
+        match self.values.get_mut(name) {
+            Some(v) => *v += delta,
+            // `0.0 + delta`, as for an existing counter: -0.0 becomes 0.
+            None => {
+                self.values.insert(name.to_owned(), 0.0 + delta);
+            }
+        }
     }
 
     /// Increment counter `name` by 1.

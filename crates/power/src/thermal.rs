@@ -61,6 +61,8 @@ pub struct ThermalModel {
     params: ThermalParams,
     /// Core temperatures, °C.
     temps: Vec<f64>,
+    /// The temperatures before the step in progress (reused buffer).
+    prev: Vec<f64>,
     /// Mesh width (row-major floorplan, same layout as the NoC).
     width: usize,
     /// Running peak of any core temperature.
@@ -78,6 +80,7 @@ impl ThermalModel {
         ThermalModel {
             params,
             temps: vec![params.ambient; n_cores],
+            prev: vec![params.ambient; n_cores],
             width,
             max_temp: params.ambient,
             sum_temps: vec![0.0; n_cores],
@@ -115,7 +118,8 @@ impl ThermalModel {
     pub fn step(&mut self, watts: &[f64]) {
         debug_assert_eq!(watts.len(), self.temps.len());
         let p = self.params;
-        let old = self.temps.clone();
+        self.prev.copy_from_slice(&self.temps);
+        let old = &self.prev;
         for i in 0..self.temps.len() {
             let vertical = (old[i] - p.ambient) / p.r_vertical;
             let lateral: f64 = self
